@@ -19,6 +19,16 @@ each stage from the previous stage's y and re-anchoring the prox center
 there; without that reset the z-step drags toward a stale anchor and the
 later stages stall.
 
+An iteration makes two products with phi. The state carries the images
+phi alpha_k, phi alpha_0 and phi sum_i (i+1)/2 grad f(alpha_i), so one
+forward product phi grad f(alpha_k) gives the images of both points to
+project by linearity. The projector turns each residual outside the ball
+into a correction (v, G v) with G = phi phi^T, moving q to q - phi^T v and
+its image to phi q - G v; one fused phi^T product serves both points, and
+the projected images need no product at all. The tracked images are
+recomputed exactly at each stage start and every REFRESH_EVERY iterations.
+Inputs are validated and the trusted-row mask is built once per stage.
+
 An outer refinement loop alternates full solves with hard-threshold support
 updates: rows the threshold keeps become trusted (unpenalized) in the next
 solve, optionally seeded by MUSIC subspace detection.
@@ -26,6 +36,7 @@ solve, optionally seeded by MUSIC subspace detection.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -35,12 +46,13 @@ from .core import (
     InfeasibleProblemError,
     InvalidArgumentError,
     SupportSet,
+    as_matrix,
     hard_threshold_rows,
     row_norms,
     row_support,
 )
 from .music import estimate_rank, music_scores
-from .smoothing import SmoothingConfig, smoothed_gradient, smoothed_objective
+from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
 
 # Continuation constants: first stage smoothing as a fraction of the data
 # scale max_j ||(phi^T B)(j,:)||_2, and the default final smoothing.
@@ -56,6 +68,13 @@ DETECT_REL_TOL = 1e-3
 # converged outright; relative-variation tests are meaningless at the level
 # of accumulated rounding noise.
 OBJECTIVE_FLOOR_FACTOR = 1e-14
+
+# Iterations between exact recomputations of the products with phi that a
+# stage otherwise tracks by linearity, so rounding drift cannot build up.
+REFRESH_EVERY = 100
+
+# Newton steps allowed per multiplier solve on the general projector path.
+MULTIPLIER_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,13 @@ class NestaConfig:
 
 @dataclass(eq=False)
 class NestaState:
-    """One solver iterate: counter, points, gradient history, trace."""
+    """One solver iterate: counter, points, gradient history, trace.
+
+    The last four fields belong to the running stage and are filled by its
+    first :func:`nesta_step`: the images ``phi @ alpha``, ``phi @ prox_center``
+    and ``phi @ grad_accum``, tracked by linearity, and the trusted-row mask
+    of the stage's smoothing config (None when no row is trusted).
+    """
 
     k: int
     alpha: np.ndarray
@@ -101,6 +126,10 @@ class NestaState:
     prox_center: np.ndarray
     grad_accum: np.ndarray
     objective_trace: list
+    phi_alpha: np.ndarray | None = None
+    phi_prox: np.ndarray | None = None
+    phi_accum: np.ndarray | None = None
+    trusted: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -126,16 +155,26 @@ class RecoveryReport:
 class FeasibilityProjector:
     """Euclidean projection onto {alpha : ||phi alpha - B||_F <= eps}.
 
-    Feasible points are returned unchanged (same array). With a certified
-    phi phi^T = c I the projection is the closed-form radial shrink
+    Feasible points are returned unchanged (same array). A point q with
+    residual r = phi q - B outside the ball moves to q - phi^T v, whose
+    image is phi q - G v with G = phi phi^T; :meth:`correction` gives the
+    pair (v, G v) from r alone, so a caller that tracks phi q by linearity
+    gets the projected image without another product with phi.
+    :func:`nesta_step` does so, and recomputes its tracked images exactly
+    every REFRESH_EVERY iterations to drop the rounding drift.
 
-        q - (1 - eps/||r||) (1/c) phi^T r,   r = phi q - B.
-
-    Otherwise a single symmetric eigendecomposition of phi phi^T is taken
-    here and reused by every call; each projection then solves the scalar
-    secular equation sum_i w_i / (1 + lam d_i)^2 = eps^2 for the Lagrange
-    multiplier by Newton's method (monotone for this convex decreasing
-    function), and applies alpha = q - phi^T (I + lam phi phi^T)^{-1} lam r.
+    With a certified phi phi^T = c I the projection is the closed-form radial
+    shrink v = (1 - eps/||r||) r / c, G v = c v. Otherwise a single symmetric
+    eigendecomposition G = V diag(d) V^T is taken here and reused by every
+    call; v = V diag(lam / (1 + lam d)) V^T r, where the Lagrange multiplier
+    lam solves the secular equation psi(lam) = eps^2 with
+    psi(lam) = sum_i w_i / (1 + lam d_i)^2 and w = squared row norms of V^T r.
+    Newton's method runs on the equivalent 1/sqrt(psi(lam)) - 1/eps = 0,
+    which is nearly linear in lam (Moré & Sorensen's form of the
+    trust-region secular equation); from lam = 0 it takes 2-3 steps on the
+    solver's projections, where Newton on psi itself needs 21-45.
+    ``newton_steps`` and ``newton_cap_hits`` count the steps taken and the
+    solves stopped at MULTIPLIER_MAX_STEPS without meeting the tolerance.
     """
 
     def __init__(self, phi, B, eps, gram_scale=None):
@@ -145,6 +184,8 @@ class FeasibilityProjector:
         if self.eps < 0:
             raise InvalidArgumentError("eps must be nonnegative")
         self.gram_scale = gram_scale
+        self.newton_steps = 0
+        self.newton_cap_hits = 0
         if gram_scale is None:
             gram = phi @ phi.T
             evals, evecs = np.linalg.eigh(gram)
@@ -158,18 +199,45 @@ class FeasibilityProjector:
         return float(np.linalg.norm(self.phi @ q - self.B))
 
     def __call__(self, q):
-        r = self.phi @ q - self.B
-        rho = float(np.linalg.norm(r))
+        (out,), _ = self.project_images([q], [self.phi @ q])
+        return out
+
+    def project_images(self, points, images):
+        """Project points whose images ``phi @ q`` are given; returns both lists.
+
+        Every point that moves shares one product with phi^T; feasible points
+        and their images come back unchanged (same arrays).
+        """
+        points, images = list(points), list(images)
+        moved, vs = [], []
+        for i, image in enumerate(images):
+            corr = self.correction(image - self.B)
+            if corr is not None:
+                moved.append(i)
+                vs.append(corr[0])
+                images[i] = image - corr[1]
+        if moved:
+            # (v^T phi)^T: one GEMM over all moved points, no copy of phi^T
+            back = (np.concatenate(vs, axis=1).T @ self.phi).T
+            width = back.shape[1] // len(moved)
+            for j, i in enumerate(moved):
+                points[i] = points[i] - back[:, j * width : (j + 1) * width]
+        return points, images
+
+    def correction(self, r):
+        """(v, G v) moving a point with residual r onto the ball; None if inside."""
+        flat = r.ravel()
+        rho = math.sqrt(flat.dot(flat))
         if rho <= self.eps:
-            return q
+            return None
         if self.gram_scale is not None:
-            lam = (1.0 - self.eps / rho) / self.gram_scale
-            return q - lam * (self.phi.T @ r)
-        return self._project_general(q, r)
+            shrink = 1.0 - self.eps / rho
+            return (shrink / self.gram_scale) * r, shrink * r
+        return self._correction_general(r)
 
     # -- general-operator path -----------------------------------------
 
-    def _project_general(self, q, r):
+    def _correction_general(self, r):
         rt = self._evecs.T @ r
         w = (rt * rt).sum(axis=1)
         d = self._evals
@@ -184,9 +252,7 @@ class FeasibilityProjector:
                     "outside the range of the operator"
                 )
             coeff = np.where(live, 1.0 / np.where(live, d, 1.0), 0.0)
-            return q - self.phi.T @ (self._evecs @ (coeff[:, None] * rt))
-
-        if attainable >= self.eps:
+        elif attainable >= self.eps:
             if attainable > self.eps * (1.0 + 1e-9):
                 raise InfeasibleProblemError(
                     f"feasible set is empty: best attainable residual "
@@ -194,27 +260,32 @@ class FeasibilityProjector:
                 )
             # boundary case: land on the residual-minimizing affine set
             coeff = np.where(live, 1.0 / np.where(live, d, 1.0), 0.0)
-            return q - self.phi.T @ (self._evecs @ (coeff[:, None] * rt))
-
-        lam = self._solve_multiplier(w[live], d[live], w_null)
-        coeff = lam / (1.0 + lam * d)
-        return q - self.phi.T @ (self._evecs @ (coeff[:, None] * rt))
+        else:
+            lam = self._solve_multiplier(w[live], d[live], w_null)
+            coeff = lam / (1.0 + lam * d)
+        v = self._evecs @ (coeff[:, None] * rt)
+        gv = self._evecs @ ((d * coeff)[:, None] * rt)
+        return v, gv
 
     def _solve_multiplier(self, w, d, w_null):
-        target = self.eps * self.eps
         lam = 0.0
-        for _ in range(200):
+        for _ in range(MULTIPLIER_MAX_STEPS):
             den = 1.0 + lam * d
             psi = float((w / den**2).sum()) + w_null
-            if abs(np.sqrt(psi) - self.eps) <= 1e-13 * max(1.0, self.eps):
-                break
+            root = math.sqrt(psi)
+            if abs(root - self.eps) <= 1e-13 * max(1.0, self.eps):
+                return lam
+            # Newton on f(lam) = psi^(-1/2) - 1/eps, f' = -psi' / (2 psi^(3/2))
             dpsi = -2.0 * float((w * d / den**3).sum())
-            lam = max(0.0, lam - (psi - target) / dpsi)
+            lam = max(0.0, lam + 2.0 * psi * (1.0 - root / self.eps) / dpsi)
+            self.newton_steps += 1
+        self.newton_cap_hits += 1
         return lam
 
 
-def _make_projector(problem, cfg=None):
-    eps = problem.epsilon if cfg is None or cfg.epsilon is None else cfg.epsilon
+def _build_projector(problem, epsilon=None):
+    """The projector onto the problem's ball, closed form when phi is certified."""
+    eps = problem.epsilon if epsilon is None else epsilon
     A = problem.A
     scale = A.row_gram_scale if A.row_orthonormal else None
     return FeasibilityProjector(problem.phi, problem.B, eps, gram_scale=scale)
@@ -226,10 +297,7 @@ def project_feasible(q, problem, epsilon=None):
     Solvers build one :class:`FeasibilityProjector` and reuse it; this
     convenience wrapper pays the factorization on every call.
     """
-    eps = problem.epsilon if epsilon is None else epsilon
-    A = problem.A
-    scale = A.row_gram_scale if A.row_orthonormal else None
-    return FeasibilityProjector(problem.phi, problem.B, eps, gram_scale=scale)(q)
+    return _build_projector(problem, epsilon)(q)
 
 
 def initial_state(alpha0):
@@ -253,26 +321,54 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None):
     (k+1)/2 at iteration k, combination factor tau_k = 2/(k+3). The
     objective at the new y is appended to the trace (a list shared
     with the input state).
+
+    The step makes two products with phi: ``phi @ grad``, from which the
+    images of both points to project follow by linearity, and one fused
+    ``phi^T`` product for the points that leave the ball. The first step
+    of a stage validates the iterate, builds the trusted-row mask and
+    computes the tracked images exactly; every REFRESH_EVERY iterations
+    the drifting ones are recomputed.
     """
     if projector is None:
-        projector = _make_projector(problem, cfg)
+        projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
+    phi = problem.phi
+    k = state.k
+    if state.phi_alpha is None:
+        n_rows = as_matrix(state.alpha, "coefficients").shape[0]
+        trusted = trusted_rows(smoothing.known_support, n_rows)
+        phi_prox = phi @ state.prox_center
+    else:
+        trusted, phi_prox = state.trusted, state.phi_prox
+    if state.phi_alpha is None or k % REFRESH_EVERY == 0:
+        phi_alpha, phi_accum = phi @ state.alpha, phi @ state.grad_accum
+    else:
+        phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
+
     mu = smoothing.mu
-    grad = smoothed_gradient(state.alpha, smoothing)
-    y = projector(state.alpha - mu * grad)
-    grad_accum = state.grad_accum + (0.5 * (state.k + 1)) * grad
-    z = projector(state.prox_center - mu * grad_accum)
-    tau = 2.0 / (state.k + 3)
-    alpha_next = tau * z + (1.0 - tau) * y
+    grad = huber_gradient(state.alpha, smoothing, trusted)
+    phi_grad = phi @ grad
+    weight = 0.5 * (k + 1)
+    grad_accum = state.grad_accum + weight * grad
+    phi_accum = phi_accum + weight * phi_grad
+    (y, z), (phi_y, phi_z) = projector.project_images(
+        [state.alpha - mu * grad, state.prox_center - mu * grad_accum],
+        [phi_alpha - mu * phi_grad, phi_prox - mu * phi_accum],
+    )
+    tau = 2.0 / (k + 3)
     trace = state.objective_trace
-    trace.append(smoothed_objective(y, smoothing))
+    trace.append(huber_objective(y, smoothing, trusted))
     return NestaState(
-        k=state.k + 1,
-        alpha=alpha_next,
+        k=k + 1,
+        alpha=tau * z + (1.0 - tau) * y,
         y=y,
         z=z,
         prox_center=state.prox_center,
         grad_accum=grad_accum,
         objective_trace=trace,
+        phi_alpha=tau * phi_z + (1.0 - tau) * phi_y,
+        phi_prox=phi_prox,
+        phi_accum=phi_accum,
+        trusted=trusted,
     )
 
 
@@ -341,12 +437,7 @@ def nesta_solve(problem, smoothing=None, cfg=None):
         ratio = (mu_final / mu0) ** (1.0 / cfg.continuation_stages)
         schedule = [mu0 * ratio ** (i + 1) for i in range(cfg.continuation_stages)]
 
-    projector = FeasibilityProjector(
-        phi,
-        problem.B,
-        eps,
-        gram_scale=problem.A.row_gram_scale if problem.A.row_orthonormal else None,
-    )
+    projector = _build_projector(problem, eps)
     x = projector(corr)
     total_inner = 0
     trace = []

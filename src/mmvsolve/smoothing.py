@@ -13,6 +13,11 @@ applied to row norms or to entry magnitudes. Rows listed in ``known_support``
 are trusted nonzero locations: they contribute neither value nor gradient.
 The gradient is (1/mu)-Lipschitz for either aggregator, which the solver
 uses directly as its step-size constant.
+
+``smoothed_objective`` and ``smoothed_gradient`` validate their input. The
+kernels behind them, ``huber_objective`` and ``huber_gradient``, do not: a
+solver validates once and passes the trusted-row mask it built with
+``trusted_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix, row_norms
+from .core import InvalidArgumentError, SupportSet, as_matrix
 
 AGGREGATOR_ROW_L2 = "row_l2"
 AGGREGATOR_ENTRY_L1 = "entry_l1"
@@ -58,6 +63,45 @@ def _huber(t, mu):
     return np.where(t >= mu, t - 0.5 * mu, (0.5 / mu) * t * t)
 
 
+def _row_l2(alpha):
+    return np.sqrt((alpha * alpha).sum(axis=1))
+
+
+def trusted_rows(support, n_rows):
+    """Boolean mask of the trusted rows, or None when no row is trusted.
+
+    This is the validated form the kernels below take; a solver builds it
+    once and reuses it for every evaluation at the same support.
+    """
+    mask = support.mask(n_rows)
+    return mask if mask.any() else None
+
+
+def huber_objective(alpha, cfg, trusted):
+    """Kernel of :func:`smoothed_objective`: no validation, ``trusted`` from
+    :func:`trusted_rows`."""
+    if cfg.aggregator == AGGREGATOR_ROW_L2:
+        values = _huber(_row_l2(alpha), cfg.mu)
+    else:
+        values = _huber(np.abs(alpha), cfg.mu)
+    if trusted is not None:
+        values = values[~trusted]
+    return float(values.sum())
+
+
+def huber_gradient(alpha, cfg, trusted):
+    """Kernel of :func:`smoothed_gradient`: no validation, ``trusted`` from
+    :func:`trusted_rows`."""
+    if cfg.aggregator == AGGREGATOR_ROW_L2:
+        t = _row_l2(alpha)
+        grad = alpha / np.where(t >= cfg.mu, t, cfg.mu)[:, None]
+    else:
+        grad = np.clip(alpha / cfg.mu, -1.0, 1.0)
+    if trusted is not None:
+        grad[trusted] = 0.0
+    return grad
+
+
 def smoothed_objective(alpha, cfg):
     """Value of the smoothed joint-sparsity objective at ``alpha``.
 
@@ -66,11 +110,7 @@ def smoothed_objective(alpha, cfg):
     norm restricted to those rows.
     """
     alpha = as_matrix(alpha, "coefficients")
-    free = ~cfg.known_support.mask(alpha.shape[0])
-    if cfg.aggregator == AGGREGATOR_ROW_L2:
-        t = row_norms(alpha, 2)
-        return float(_huber(t, cfg.mu)[free].sum())
-    return float(_huber(np.abs(alpha), cfg.mu)[free].sum())
+    return huber_objective(alpha, cfg, trusted_rows(cfg.known_support, alpha.shape[0]))
 
 
 def smoothed_gradient(alpha, cfg):
@@ -82,13 +122,4 @@ def smoothed_gradient(alpha, cfg):
     get an exactly zero gradient.
     """
     alpha = as_matrix(alpha, "coefficients")
-    mask = cfg.known_support.mask(alpha.shape[0])
-    if cfg.aggregator == AGGREGATOR_ROW_L2:
-        t = row_norms(alpha, 2)
-        denom = np.where(t >= cfg.mu, t, cfg.mu)
-        grad = alpha / denom[:, None]
-    else:
-        grad = np.clip(alpha / cfg.mu, -1.0, 1.0)
-    if mask.any():
-        grad[mask] = 0.0
-    return grad
+    return huber_gradient(alpha, cfg, trusted_rows(cfg.known_support, alpha.shape[0]))

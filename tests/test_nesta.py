@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmvsolve import (
+    FeasibilityProjector,
     InvalidArgumentError,
     MeasurementMatrix,
     MmvProblem,
@@ -15,6 +16,7 @@ from mmvsolve import (
     nesta_solve,
     nesta_step,
 )
+from mmvsolve.nesta import REFRESH_EVERY
 
 # hand-fixed instance with exact gram A A^T = 2 I
 A_FIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
@@ -28,25 +30,30 @@ def fixed_problem(eps=0.25):
     return MmvProblem(A=M, B=B_FIXED, epsilon=eps)
 
 
-def literal_iteration(alpha0, mu, eps, steps):
+def literal_iteration(alpha0, mu, eps, steps, proj=None, trusted=()):
     """Transcription of the accelerated scheme written independently:
-    gradient of the Huber row objective, ball projection in closed form
-    (gram scale 2), history weights (i+1)/2, tau = 2/(k+3)."""
+    gradient of the Huber row objective (zero on trusted rows), ball
+    projection (closed form for the gram-scale-2 fixed operator by default),
+    history weights (i+1)/2, tau = 2/(k+3). Each step yields y, z, alpha
+    and the point z projects."""
 
     def grad(X):
         g = np.zeros_like(X)
         for j in range(X.shape[0]):
+            if j in trusted:
+                continue
             t = np.sqrt((X[j] ** 2).sum())
             g[j] = X[j] / mu if t < mu else X[j] / t
         return g
 
-    def proj(q):
+    def closed_form_proj(q):
         r = A_FIXED @ q - B_FIXED
         rho = np.sqrt((r**2).sum())
         if rho <= eps:
             return q
         return q - (1.0 - eps / rho) * 0.5 * (A_FIXED.T @ r)
 
+    proj = closed_form_proj if proj is None else proj
     alpha = alpha0.copy()
     accum = np.zeros_like(alpha0)
     out = []
@@ -57,8 +64,33 @@ def literal_iteration(alpha0, mu, eps, steps):
         z = proj(alpha0 - mu * accum)
         tau = 2.0 / (k + 3)
         alpha = tau * z + (1 - tau) * y
-        out.append((y, z, alpha))
+        out.append((y, z, alpha, alpha0 - mu * accum))
     return out
+
+
+def kkt_projection(A, B, eps):
+    """Ball projection by dense KKT solves, multiplier bisected to round-off."""
+    N = A.shape[1]
+
+    def alpha_of(q, lam):
+        return np.linalg.solve(np.eye(N) + lam * (A.T @ A), q + lam * (A.T @ B))
+
+    def proj(q):
+        if np.linalg.norm(A @ q - B) <= eps:
+            return q
+        lo, hi = 0.0, 1.0
+        while np.linalg.norm(A @ alpha_of(q, hi) - B) > eps:
+            hi *= 2.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return alpha_of(q, hi)
+            if np.linalg.norm(A @ alpha_of(q, mid) - B) > eps:
+                lo = mid
+            else:
+                hi = mid
+
+    return proj
 
 
 def test_step_constants_at_k0():
@@ -93,11 +125,84 @@ def test_step_matches_literal_transcription():
     sm = SmoothingConfig(mu=0.5)
     reference = literal_iteration(ALPHA0_FIXED, mu=0.5, eps=0.25, steps=25)
     state = initial_state(ALPHA0_FIXED)
-    for y_ref, z_ref, alpha_ref in reference:
+    for y_ref, z_ref, alpha_ref, _ in reference:
         state = nesta_step(state, problem, sm)
         assert np.abs(state.y - y_ref).max() <= 1e-12
         assert np.abs(state.z - z_ref).max() <= 1e-12
         assert np.abs(state.alpha - alpha_ref).max() <= 1e-12
+
+
+def test_cached_step_matches_literal_transcription_past_refreshes():
+    # Uncertified operator, one trusted row, and enough steps to cross two
+    # refreshes of the images the step tracks by linearity. The point that
+    # z projects, alpha0 - mu * (weighted gradient sum), grows like k^2 (to
+    # ~4e3 here) and carries round-off of that size, so the 1e-12 is taken
+    # relative to it: a step computing every product with phi exactly
+    # differs from the transcription by 3.4e-12 absolute at step 200.
+    A = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]])
+    M = MeasurementMatrix.from_entries(A)
+    assert not M.row_orthonormal
+    problem = MmvProblem(A=M, B=B_FIXED, epsilon=0.25)
+    sm = SmoothingConfig(mu=0.5, known_support=SupportSet((1,)))
+    steps = 2 * REFRESH_EVERY + 10
+    reference = literal_iteration(
+        ALPHA0_FIXED, 0.5, 0.25, steps, proj=kkt_projection(A, B_FIXED, 0.25), trusted=(1,)
+    )
+    projector = FeasibilityProjector(A, B_FIXED, 0.25)
+    state = initial_state(ALPHA0_FIXED)
+    for y_ref, z_ref, alpha_ref, qz_ref in reference:
+        state = nesta_step(state, problem, sm, projector=projector)
+        tol = 1e-12 * max(1.0, np.abs(qz_ref).max())
+        assert np.abs(state.y - y_ref).max() <= tol
+        assert np.abs(state.z - z_ref).max() <= tol
+        assert np.abs(state.alpha - alpha_ref).max() <= tol
+        assert state.trusted is not None and np.all(state.grad_accum[1] == 0.0)
+    assert state.k == steps
+    assert np.abs(qz_ref).max() > 1e3
+
+
+class CountingArray(np.ndarray):
+    """An operator that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingArray.products += 1
+        plain = tuple(x.view(np.ndarray) if isinstance(x, CountingArray) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("matrix_kind", ["row-orthonormal-gaussian", "gaussian"])
+def test_step_makes_two_products_with_phi(matrix_kind):
+    spec = ProblemSpec(n=8, N=16, L=2, k=2, rank=2, matrix_kind=matrix_kind, seed=3)
+    problem = gen_instance(spec).problem
+    problem.phi = problem.phi.view(CountingArray)
+    A = problem.A
+    projector = FeasibilityProjector(
+        problem.phi, problem.B, 0.0, gram_scale=A.row_gram_scale if A.row_orthonormal else None
+    )
+    sm = SmoothingConfig(mu=0.1)
+    state = initial_state(np.zeros((spec.N, spec.L)))
+    for k in range(REFRESH_EVERY + 2):
+        CountingArray.products = 0
+        state = nesta_step(state, problem, sm, projector=projector)
+        # phi @ grad and one fused phi^T product; at k = 0 (stage start) and
+        # at refreshes also phi @ alpha and phi @ grad_accum, and at the
+        # stage start phi @ prox_center
+        expected = 5 if k == 0 else 4 if k == REFRESH_EVERY else 2
+        assert CountingArray.products == expected, k
+
+
+def test_step_skips_back_projection_when_both_points_are_feasible():
+    inst = gen_instance(ProblemSpec(n=8, N=16, L=2, k=2, rank=2, seed=3))
+    problem = inst.problem
+    problem.phi = problem.phi.view(CountingArray)
+    projector = FeasibilityProjector(problem.phi, problem.B, 1e9, gram_scale=1.0)
+    state = nesta_step(initial_state(inst.X_true), problem, SmoothingConfig(mu=0.1), projector=projector)
+    CountingArray.products = 0
+    nesta_step(state, problem, SmoothingConfig(mu=0.1), projector=projector)
+    assert CountingArray.products == 1
 
 
 def test_iterates_stay_feasible():

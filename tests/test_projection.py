@@ -8,6 +8,7 @@ from mmvsolve import (
     MmvProblem,
     project_feasible,
 )
+from mmvsolve import nesta
 
 
 def bisection_oracle(phi, B, eps, q, width=1e-12):
@@ -82,6 +83,55 @@ def test_projection_matches_bisection_oracle():
             assert eps - 1e-9 <= res <= eps + 1e-9
             ref = bisection_oracle(phi, B, eps, q)
             assert np.abs(out - ref).max() <= 1e-8
+
+
+def test_multiplier_newton_steps_are_few_and_never_capped():
+    # Newton on 1/sqrt(psi) - 1/eps is nearly linear in the multiplier and
+    # takes 3-5 steps on these cases; Newton on psi - eps^2 takes 7-17
+    for phi, B, eps, q in random_cases(15, 20, orthonormal=False):
+        proj = FeasibilityProjector(phi, B, eps)
+        out = proj(q)
+        assert np.abs(out - bisection_oracle(phi, B, eps, q)).max() <= 1e-8
+        assert 1 <= proj.newton_steps <= 6
+        assert proj.newton_cap_hits == 0
+
+
+def test_multiplier_cap_hit_is_counted(monkeypatch):
+    phi, B, eps, q = next(random_cases(1, 20, orthonormal=False))
+    monkeypatch.setattr(nesta, "MULTIPLIER_MAX_STEPS", 1)
+    proj = FeasibilityProjector(phi, B, eps)
+    proj(q)
+    assert proj.newton_steps == 1
+    assert proj.newton_cap_hits == 1
+
+
+def test_correction_gives_the_projected_image():
+    # q - phi^T v is the projection and phi q - G v its image, for both paths
+    for orthonormal, seed in ((True, 70), (False, 80)):
+        for phi, B, eps, q in random_cases(6, seed, orthonormal):
+            scale = 1.0 if orthonormal else None
+            proj = FeasibilityProjector(phi, B, eps, gram_scale=scale)
+            v, gv = proj.correction(phi @ q - B)
+            assert np.abs((q - phi.T @ v) - proj(q)).max() <= 1e-12
+            assert np.abs(gv - phi @ (phi.T @ v)).max() <= 1e-12
+            far = 3.0 * q
+            (p1, p2), (i1, i2) = proj.project_images([q, far], [phi @ q, phi @ far])
+            assert np.abs(p1 - proj(q)).max() <= 1e-12
+            assert np.abs(p2 - proj(far)).max() <= 1e-12
+            assert np.abs(i1 - phi @ p1).max() <= 1e-12
+            assert np.abs(i2 - phi @ p2).max() <= 1e-12
+
+
+def test_project_images_leaves_feasible_points_alone():
+    rng = np.random.default_rng(2)
+    phi = rng.standard_normal((3, 8))
+    B = rng.standard_normal((3, 2))
+    proj = FeasibilityProjector(phi, B, eps=1e9)
+    q = rng.standard_normal((8, 2))
+    image = phi @ q
+    assert proj.correction(image - B) is None
+    (out,), (out_image,) = proj.project_images([q], [image])
+    assert out is q and out_image is image
 
 
 def test_projection_optimality_against_sampled_feasible_points():
