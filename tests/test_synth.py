@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,92 @@ def test_instance_determinism():
     assert np.array_equal(a.X_true, b.X_true)
     assert a.support_true == b.support_true
     assert a.problem.epsilon == b.problem.epsilon
+
+
+# SHA-256 of A, B and X_true (``tobytes()``), the support and epsilon for
+# fixed specs: both matrix kinds, noiseless and noisy, the criterion-5 sweep
+# shape, the Gaussian benchmark shape, a seed near 2^64, and two specs with
+# odd n * N, whose Box-Muller spare carries into the next ``normals`` call.
+# Any change to the draw stream, the draw order or the construction fails
+# here; ``test_instance_determinism`` only compares the code with itself.
+PINNED_DRAWS = [
+    (
+        ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=0),
+        "b244a01bcb35a1baf7e8258587564ea8bd1532c8f43b67894622f39753dfbb1e",
+        "0958b7929798ad6c734b00ad416e1a3e5b2f4fda57df202240509039628bcea2",
+        "8de42e742b7d41738bacb0cab211b7d6bd962f38af7d04c568d9a8a7f824b369",
+        (27, 28, 33, 34, 43, 46, 48, 61),
+        0.0,
+    ),
+    (
+        ProblemSpec(
+            n=128, N=512, L=8, k=20, rank=8, noise_sigma=1e-3,
+            matrix_kind="gaussian", seed=0,
+        ),
+        "f6016c8b28450de9a90717a1c409195ec6769785d6b862e8cce53fa4c7dee015",
+        "ce5155e54310809df536973ab1b6d31c164b0347cb33f3ef2ac0aa29c67a2561",
+        "28c7befb721ce81fdc48ed26f2a2f5026978f6b98acebb615d20488c3e577951",
+        (2, 28, 78, 109, 129, 141, 205, 229, 239, 255, 260, 268, 276, 312, 333,
+         395, 406, 435, 499, 501),
+        0.0352,
+    ),
+    (
+        ProblemSpec(n=20, N=50, L=3, k=5, rank=3, noise_sigma=0.05, seed=11),
+        "f9ee3ea6b033d94d00d68632a2342db0dd9523f09d3a1a0c06a4d57afabccc5d",
+        "37955bbf2aae76ad57689f9f3fc85dc20dfe4d0e12f02503b158d060165b9ef8",
+        "c4fc72f9bdc93f5177295dcd5987ea20be411513e7ef53594c98758fd1f3872b",
+        (2, 11, 29, 34, 47),
+        0.42602816808281596,
+    ),
+    (
+        ProblemSpec(
+            n=16, N=40, L=2, k=4, rank=2, noise_sigma=0.2,
+            matrix_kind="gaussian", seed=2**64 - 5,
+        ),
+        "0c11d5c47ea1cdb6628fa0726e6d7f1aa49b05f23759ac5f56ce60599f78b31d",
+        "224a952b17a3d783792208126b909016726a44e91e2ab47e9ba3f1d205fcf7be",
+        "bf60b8bb73ff6d6181998ee5c27026c714895aa0ac350625e584315062d30f65",
+        (14, 17, 21, 31),
+        1.244507934888324,
+    ),
+    (
+        ProblemSpec(
+            n=7, N=13, L=3, k=4, rank=2, noise_sigma=0.1,
+            matrix_kind="gaussian", seed=77,
+        ),
+        "366fc2c7227ed6ea0f295024b56fa69ea0abee77f5bdf635e42d0093bcecf163",
+        "aa32512da823f8617da09d3f09ad6e1fb942fced9b503051399fc2898d746184",
+        "8c6b9da237c4f19702f68705e8692f6682acadaf04bee0866625a08c1a280ad4",
+        (5, 6, 7, 9),
+        0.5040833264451424,
+    ),
+    (
+        ProblemSpec(n=9, N=15, L=5, k=3, rank=3, seed=123),
+        "01c3e830b8453603c1378780852eddbb801470df2b0a0d747a33020ee2d9c26e",
+        "761471792883d99466d155141871604c0652bed28c335f8092a2f2d68b0212b1",
+        "99e69b7e7bd1e65160853b8d22d4755c333961c8cb7b34fadf55e45ffef0356a",
+        (1, 8, 9),
+        0.0,
+    ),
+]
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec,a_sha,b_sha,x_sha,support,epsilon",
+    PINNED_DRAWS,
+    ids=["sweep", "gaussian", "noisy", "seed-near-2^64", "odd-gaussian", "odd-orthonormal"],
+)
+def test_draw_stream_is_pinned(spec, a_sha, b_sha, x_sha, support, epsilon):
+    inst = gen_instance(spec)
+    assert _sha256(inst.problem.A.entries) == a_sha
+    assert _sha256(inst.problem.B) == b_sha
+    assert _sha256(inst.X_true) == x_sha
+    assert inst.support_true.indices == support
+    assert inst.problem.epsilon == epsilon
 
 
 def test_noiseless_instances_are_exactly_consistent():
