@@ -26,15 +26,34 @@ class MusicResult:
     support: SupportSet
 
 
-def estimate_rank(B, delta):
-    """Number of singular values of B above delta times the largest."""
-    B = as_matrix(B, "measurement block")
+def _rank_above(sv, delta):
+    """Number of descending singular values above delta times the largest."""
     if not 0 < delta < 1:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta!r}")
-    sv = np.linalg.svd(B, compute_uv=False)
     if sv[0] == 0:
         return 0
     return int((sv > delta * sv[0]).sum())
+
+
+def estimate_rank(B, delta):
+    """Number of singular values of B above delta times the largest."""
+    B = as_matrix(B, "measurement block")
+    return _rank_above(np.linalg.svd(B, compute_uv=False), delta)
+
+
+def _subspace_scores(phi, Us):
+    col_norms = np.sqrt((phi * phi).sum(axis=0))
+    zero_cols = col_norms == 0
+    if zero_cols.any():
+        warnings.warn(
+            f"{int(zero_cols.sum())} zero dictionary column(s); scoring them 1",
+            stacklevel=3,
+        )
+    resid = phi - Us @ (Us.T @ phi)
+    safe = np.where(zero_cols, 1.0, col_norms)
+    scores = np.sqrt((resid * resid).sum(axis=0)) / safe
+    scores[zero_cols] = 1.0
+    return scores
 
 
 def music_scores(problem, r):
@@ -48,21 +67,18 @@ def music_scores(problem, r):
         raise InvalidArgumentError(
             f"subspace dimension r must be an integer in [1, {n_sv}], got {r!r}"
         )
-    U, _, _ = np.linalg.svd(problem.B)
-    Us = U[:, : int(r)]
-    phi = problem.phi
-    col_norms = np.sqrt((phi * phi).sum(axis=0))
-    zero_cols = col_norms == 0
-    if zero_cols.any():
-        warnings.warn(
-            f"{int(zero_cols.sum())} zero dictionary column(s); scoring them 1",
-            stacklevel=2,
-        )
-    resid = phi - Us @ (Us.T @ phi)
-    safe = np.where(zero_cols, 1.0, col_norms)
-    scores = np.sqrt((resid * resid).sum(axis=0)) / safe
-    scores[zero_cols] = 1.0
-    return scores
+    U = np.linalg.svd(problem.B, full_matrices=False)[0]
+    return _subspace_scores(problem.phi, U[:, : int(r)])
+
+
+def _rank_and_scores(problem, delta):
+    """``estimate_rank(B, delta)`` and, if it is positive, the MUSIC scores.
+
+    Both come from one thin SVD of B; the scores are None when the rank is 0.
+    """
+    U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
+    r = _rank_above(sv, delta)
+    return r, (_subspace_scores(problem.phi, U[:, :r]) if r else None)
 
 
 def music_support(problem, k, delta=1e-8):
@@ -75,12 +91,10 @@ def music_support(problem, k, delta=1e-8):
     if int(k) != k or not 1 <= k < problem.N:
         raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
     k = int(k)
-    r = estimate_rank(problem.B, delta)
+    r, scores = _rank_and_scores(problem, delta)
     if r == 0:
         # no signal subspace at all; every column is equally implausible
         scores = np.ones(problem.N)
-    else:
-        scores = music_scores(problem, r)
     order = np.argsort(scores, kind="stable")
     chosen = SupportSet(tuple(sorted(int(i) for i in order[:k])))
     return MusicResult(rank=r, scores=scores, support=chosen)

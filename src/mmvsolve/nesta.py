@@ -51,7 +51,7 @@ from .core import (
     row_norms,
     row_support,
 )
-from .music import estimate_rank, music_scores
+from .music import _rank_and_scores
 from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
 
 # Continuation constants: first stage smoothing as a fraction of the data
@@ -474,10 +474,9 @@ def nesta_solve(problem, smoothing=None, cfg=None):
 
 def _music_seed(problem, k, delta):
     """Conservative trusted-support seed: min(rank, k) best-scored rows."""
-    r = estimate_rank(problem.B, delta)
+    r, scores = _rank_and_scores(problem, delta)
     if r == 0:
         return SupportSet()
-    scores = music_scores(problem, min(r, problem.n, problem.L))
     size = min(r, k)
     order = np.argsort(scores, kind="stable")
     return SupportSet(tuple(sorted(int(i) for i in order[:size])))

@@ -34,6 +34,16 @@ EPSILON_SLACK = 1.1
 
 _MASK64 = (1 << 64) - 1
 
+# splitmix64: the state advances by _GAMMA per draw; the output is the new
+# state mixed by two xor-shift-multiply rounds.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# Box-Muller pairs computed at once by ``Rng64.normals``; bounds its scratch
+# memory independently of the matrix size.
+_NORMAL_BLOCK_PAIRS = 4096
+
 
 class Rng64:
     """splitmix64 with Box-Muller normals; bit-reproducible from the seed.
@@ -43,6 +53,11 @@ class Rng64:
     shifted into (0, 1]; normals come in Box-Muller pairs with the spare
     cached. Integer draws below a bound use rejection sampling, so there
     is no modulo bias.
+
+    ``normals`` draws a block at a time: the i-th draw after state s is
+    mix(s + i * gamma), so a block needs no sequential loop. Its log, cos
+    and sin come from ``math``, as in ``normal``, so both paths give the
+    same bits (numpy's versions differ in the last place on some inputs).
     """
 
     def __init__(self, seed):
@@ -50,11 +65,21 @@ class Rng64:
         self._spare = None
 
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def _u64_block(self, count):
+        """The next ``count`` outputs of ``next_u64`` as a uint64 array."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return z ^ (z >> np.uint64(31))
 
     def uniform(self):
         """Uniform in (0, 1]; never zero, so log() is always safe."""
@@ -81,12 +106,30 @@ class Rng64:
         self._spare = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def _normal_pairs(self, pairs):
+        """The next ``pairs`` Box-Muller pairs, flattened as cos, sin, cos, ..."""
+        u = ((self._u64_block(2 * pairs) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, pairs))
+        theta = (2.0 * math.pi * u[1::2]).tolist()
+        out = np.empty((pairs, 2))
+        out[:, 0] = radius * np.fromiter(map(math.cos, theta), float, pairs)
+        out[:, 1] = radius * np.fromiter(map(math.sin, theta), float, pairs)
+        return out.reshape(-1)
+
     def normals(self, rows, cols):
-        """Row-major matrix of standard normals."""
+        """Row-major matrix of standard normals; the same draws as repeated ``normal()``."""
         out = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.normal()
+        flat = out.reshape(-1)
+        start = 0
+        if flat.size and self._spare is not None:
+            flat[0], self._spare = self._spare, None
+            start = 1
+        for lo in range(start, flat.size, 2 * _NORMAL_BLOCK_PAIRS):
+            hi = min(lo + 2 * _NORMAL_BLOCK_PAIRS, flat.size)
+            block = self._normal_pairs((hi - lo + 1) // 2)
+            flat[lo:hi] = block[: hi - lo]
+            if block.size > hi - lo:
+                self._spare = float(block[-1])
         return out
 
     def subset(self, n, k):
@@ -152,6 +195,13 @@ def _rank_checked_block(rng, k, rank, L):
             return block
 
 
+def _calibrated_epsilon(spec):
+    """Noise-ball radius: EPSILON_SLACK times the expected noise norm, 0 if noiseless."""
+    if spec.noise_sigma > 0:
+        return EPSILON_SLACK * math.sqrt(spec.n * spec.L) * spec.noise_sigma
+    return 0.0
+
+
 def gen_instance(spec):
     """Deterministically generate a problem with known ground truth.
 
@@ -176,10 +226,7 @@ def gen_instance(spec):
     B = A.entries @ X
     if spec.noise_sigma > 0:
         B = B + spec.noise_sigma * rng.normals(spec.n, spec.L)
-        epsilon = EPSILON_SLACK * math.sqrt(spec.n * spec.L) * spec.noise_sigma
-    else:
-        epsilon = 0.0
-    problem = MmvProblem(A=A, B=B, epsilon=epsilon)
+    problem = MmvProblem(A=A, B=B, epsilon=_calibrated_epsilon(spec))
     return GroundTruthInstance(problem=problem, X_true=X, support_true=support, spec=spec)
 
 
@@ -217,11 +264,6 @@ def import_instance(prefix):
     A = MeasurementMatrix.from_entries(read_matrix(f"{prefix}_A.csv"))
     X = read_matrix(f"{prefix}_X.csv")
     B = read_matrix(f"{prefix}_B.csv")
-    epsilon = (
-        EPSILON_SLACK * math.sqrt(spec.n * spec.L) * spec.noise_sigma
-        if spec.noise_sigma > 0
-        else 0.0
-    )
-    problem = MmvProblem(A=A, B=B, epsilon=epsilon)
+    problem = MmvProblem(A=A, B=B, epsilon=_calibrated_epsilon(spec))
     support = SupportSet(tuple(int(i) for i in np.flatnonzero((X != 0).any(axis=1))))
     return GroundTruthInstance(problem=problem, X_true=X, support_true=support, spec=spec)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,49 @@ def test_rng_normals_moments():
     xs = r.normals(200, 50).ravel()
     assert abs(xs.mean()) < 0.02
     assert abs(xs.std() - 1.0) < 0.02
+
+
+def _scalar_normals(rng, rows, cols):
+    """Reference for ``normals``: one ``normal()`` call per entry, row-major."""
+    out = np.empty((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = rng.normal()
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 5])
+def test_block_normals_interleave_with_scalar_draws(seed):
+    fast, ref = Rng64(seed), Rng64(seed)
+    # odd sizes leave a spare that the next call must consume first; the last
+    # two calls start with a spare and cross several internal blocks
+    calls = [
+        ("normals", (3, 5)), ("normal", ()), ("below", (97,)), ("normals", (2, 3)),
+        ("normals", (0, 4)), ("normals", (256, 1024)), ("normals", (1, 3)),
+        ("normals", (3, 4099)),
+    ]
+    for name, args in calls:
+        if name == "normals":
+            got, want = fast.normals(*args), _scalar_normals(ref, *args)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (name, args)
+        else:
+            assert getattr(fast, name)(*args) == getattr(ref, name)(*args)
+        assert fast._state == ref._state, (name, args)
+        assert fast._spare == ref._spare, (name, args)
+
+
+def test_block_normals_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc: the peak is the output plus
+    # one block's scratch, not a second copy of the matrix
+    output_bytes = 512 * 2048 * 8
+    tracemalloc.start()
+    try:
+        Rng64(0).normals(512, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= output_bytes + 2 * 2**20
 
 
 def test_rng_subset_uniformity():
