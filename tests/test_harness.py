@@ -179,3 +179,59 @@ def test_sweep_config_validation():
         SweepConfig(base=base, solvers=("nesta",), trials=0, output="x.csv")
     with pytest.raises(InvalidArgumentError):
         SweepConfig(base=base, solvers=("unknown",), trials=1, output="x.csv")
+
+
+# SHA-256 of each CSV column ("\n"-joined, trial and aggregate rows) of a
+# small criterion-5 style sweep: 32x64x4, rank 4, seeds 0-4, k = 8 and 12,
+# solvers nesta and smv. wall_time_s is not pinned; relative_error is
+# pinned by value below, to 1e-12 relative.
+SWEEP_PIN_DIGESTS = {
+    "solver": "1e6f530c94d363c2a1dedf6b9c23a4d9da8464a0bc3c68e7f32633a7251ba68a",
+    "n": "baf9e4a3e1959a8977a24d04fcfb998dc928dd78cf289a2a8d62f29e07c49b61",
+    "N": "2ba6776a48e7e1596e68700b674eb1036177dae7266b818cc86edf8fa246ebe8",
+    "L": "e8d128d54293ca6901136c6828532c4d4bd55178bf917e235cd7d36b22f4f8f1",
+    "k": "827000fe2601a59317cf7120e90457559729ed87794c0e14d39951d9e23f8784",
+    "rank": "e8d128d54293ca6901136c6828532c4d4bd55178bf917e235cd7d36b22f4f8f1",
+    "noise_sigma": "82b31bf6b9ca7bdfc2a577b6cb0c4ec35ebbb10e55de4e2bac070faaab2a00de",
+    "seed": "ab35fdfff3d822e41e08c7f1b7f59a52b0e200050ff745d4a5e6a5f0debb2d88",
+    "support_exact": "1598dd9e5dcded7ff31ed57a97584812e1d85a7647e5981d09ed33e06d093c32",
+    "inner_iters": "3194bde6277bcbbaa86653e16e24ed3e09210a961661b9ca01b589a431c5ae71",
+    "outer_iters": "77fb23272206e72ffe8dfdf569e6fbd8bcc05043f8c86c55d32a3f730cbbe9df",
+    "success": "1598dd9e5dcded7ff31ed57a97584812e1d85a7647e5981d09ed33e06d093c32",
+}
+SWEEP_PIN_RELATIVE_ERRORS = [
+    0.0001904296563979385, 0.00023941482683435705, 0.00013736056215769415,
+    0.0003548824891531092, 0.00024994591608210005, 0.00023941482683435705,
+    0.0002534696530276241, 0.00024067423103236066, 0.0001241157916276044,
+    0.10653263207028467, 0.16847059908449483, 0.0002534696530276241,
+    0.0003706185316906376, 0.00032278825057982773, 0.0009651650692264204,
+    0.00026898824374801836, 0.00039486517568223156, 0.0003706185316906376,
+    0.03442174322662638, 0.20693795639014964, 0.1533074918720866,
+    0.20222478143923311, 0.28539228955146406, 0.20222478143923311,
+]
+
+
+def test_small_sweep_is_pinned(tmp_path):
+    import hashlib
+
+    out = tmp_path / "pin.csv"
+    cfg_path = tmp_path / "pin.cfg"
+    cfg_path.write_text(
+        "n = 32\nN = 64\nL = 4\nk = 8\nrank = 4\nnoise_sigma = 0\nseed = 0\n"
+        "trials = 5\nsolvers = nesta, smv\ngrid.k = 8, 12\n"
+        f"success_threshold = 1e-3\noutput = {out}\n"
+    )
+    run_sweep(parse_sweep_config(cfg_path))
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# success_threshold = 0.001", RESULT_HEADER]
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 24
+    columns = dict(zip(RESULT_HEADER.split(","), zip(*rows)))
+    digests = {
+        name: hashlib.sha256("\n".join(values).encode()).hexdigest()
+        for name, values in columns.items()
+        if name in SWEEP_PIN_DIGESTS
+    }
+    assert digests == SWEEP_PIN_DIGESTS
+    rel = [float(v) for v in columns["relative_error"]]
+    assert rel == pytest.approx(SWEEP_PIN_RELATIVE_ERRORS, rel=1e-12, abs=0)
