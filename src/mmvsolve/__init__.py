@@ -43,6 +43,7 @@ from .nesta import (
     initial_state,
     iterative_nesta,
     nesta_solve,
+    nesta_solve_batch,
     nesta_step,
     project_feasible,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "music_scores",
     "music_support",
     "nesta_solve",
+    "nesta_solve_batch",
     "nesta_step",
     "parse_sweep_config",
     "project_feasible",

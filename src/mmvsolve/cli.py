@@ -22,18 +22,16 @@ from .core import (
     write_matrix,
 )
 from .harness import (
-    SOLVER_ITERATIVE_NESTA,
     SOLVER_NESTA,
     SOLVER_SMV,
     SOLVERS,
     parse_sweep_config,
     read_keyvalue,
     run_sweep,
-    solve_smv_per_column,
+    solve_problems,
 )
-from .iht import IhtConfig, iht_solve
 from .music import music_support
-from .nesta import NestaConfig, iterative_nesta, nesta_solve
+from .nesta import NestaConfig
 from .synth import MATRIX_KINDS, ProblemSpec, gen_instance
 
 
@@ -113,6 +111,14 @@ def _spec_from_args(args):
     )
 
 
+def _solve(args, problem, k, cfg):
+    """The report of ``--solver`` on one problem; a solver error is raised."""
+    (report,) = solve_problems(args.solver, [problem], k, cfg=cfg, use_music=args.use_music)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
 def _solve_loaded(args):
     """Solve a problem read from CSV files; no ground truth available."""
     if not args.load_data:
@@ -122,19 +128,9 @@ def _solve_loaded(args):
     eps = args.eps if args.eps is not None else 0.0
     problem = MmvProblem(A=A, B=B, epsilon=eps)
     cfg = NestaConfig(mu_final=args.mu_final)
-    if args.solver == SOLVER_NESTA:
-        report = nesta_solve(problem, cfg=cfg)
-    elif args.solver == SOLVER_SMV:
-        report = solve_smv_per_column(problem, cfg=cfg)
-    else:
-        if args.k_threshold is None:
-            raise InvalidArgumentError(f"--solver {args.solver} needs --k-threshold")
-        if args.solver == SOLVER_ITERATIVE_NESTA:
-            report = iterative_nesta(
-                problem, args.k_threshold, cfg=cfg, use_music=args.use_music
-            )
-        else:
-            report = iht_solve(problem, IhtConfig(k=args.k_threshold))
+    if args.solver not in (SOLVER_NESTA, SOLVER_SMV) and args.k_threshold is None:
+        raise InvalidArgumentError(f"--solver {args.solver} needs --k-threshold")
+    report = _solve(args, problem, args.k_threshold, cfg)
     summary = (
         f"solver={args.solver} residual={report.final_residual!r} "
         f"inner_iters={report.inner_iterations} outer_iters={report.outer_iterations} "
@@ -155,14 +151,7 @@ def _cmd_solve(args):
     cfg = NestaConfig(epsilon=args.eps, mu_final=args.mu_final)
     instance = gen_instance(spec)
     k_thr = args.k_threshold if args.k_threshold is not None else spec.k
-    if args.solver == SOLVER_NESTA:
-        report = nesta_solve(instance.problem, cfg=cfg)
-    elif args.solver == SOLVER_SMV:
-        report = solve_smv_per_column(instance.problem, cfg=cfg)
-    elif args.solver == SOLVER_ITERATIVE_NESTA:
-        report = iterative_nesta(instance.problem, k_thr, cfg=cfg, use_music=args.use_music)
-    else:
-        report = iht_solve(instance.problem, IhtConfig(k=k_thr))
+    report = _solve(args, instance.problem, k_thr, cfg)
     rel = float(
         np.linalg.norm(report.estimate - instance.X_true)
         / np.linalg.norm(instance.X_true)

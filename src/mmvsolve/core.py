@@ -37,6 +37,11 @@ class InfeasibleProblemError(RuntimeError):
     """No point satisfies the data-consistency constraint."""
 
 
+# Errors a solver raises for the data of one problem. Batched solves and
+# the harness record them per problem instead of stopping.
+SOLVER_ERRORS = (InvalidArgumentError, DegenerateInputError, InfeasibleProblemError)
+
+
 def as_matrix(X, name="matrix"):
     """Validate and return a finite, nonempty 2-D float array."""
     X = np.asarray(X, dtype=float)

@@ -1,4 +1,4 @@
-"""Benchmark harness: single trials, solver enums, sweeps, CSV results.
+"""Benchmark harness: single trials, solver dispatch, sweeps, CSV results.
 
 A trial generates a seeded instance, runs one solver, and scores the
 estimate against the known ground truth. Sweeps iterate a grid over k
@@ -6,6 +6,13 @@ and/or n, run a fixed number of trials per cell with seeds
 base_seed + trial_index (so every solver in a cell sees identical
 instances), and write one CSV row per trial plus an aggregate row per
 (cell, solver). Everything except wall time is deterministic.
+
+The ``nesta`` and ``smv`` solvers take all of a cell's instances in one
+batched solve (for ``smv``, the L column problems of every trial). A
+batched trial's ``wall_time_s`` is its share of the cell's measured solve
+time, split in proportion to inner iterations, so a cell's rows sum to the
+time the cell took. A single trial (:func:`run_trial`) and the trials of
+``iht`` and ``iterative-nesta`` cells record their own elapsed solve time.
 """
 
 from __future__ import annotations
@@ -15,17 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    DegenerateInputError,
-    InfeasibleProblemError,
-    InvalidArgumentError,
-    MmvProblem,
-    SupportSet,
-    row_norms,
-    row_support,
-)
+from .core import SOLVER_ERRORS, InvalidArgumentError, MmvProblem
 from .iht import IhtConfig, iht_solve
-from .nesta import DETECT_REL_TOL, RecoveryReport, iterative_nesta, nesta_solve
+from .nesta import (
+    RecoveryReport,
+    detected_support,
+    iterative_nesta,
+    nesta_solve,  # noqa: F401  (a binding of this module that benchmark tracing rebinds)
+    nesta_solve_batch,
+)
 from .synth import ProblemSpec, gen_instance
 
 SOLVER_NESTA = "nesta"
@@ -33,6 +38,8 @@ SOLVER_ITERATIVE_NESTA = "iterative-nesta"
 SOLVER_IHT = "iht"
 SOLVER_SMV = "smv"
 SOLVERS = (SOLVER_NESTA, SOLVER_ITERATIVE_NESTA, SOLVER_IHT, SOLVER_SMV)
+# Solvers that take a sweep cell's instances as one batch.
+BATCHED_SOLVERS = (SOLVER_NESTA, SOLVER_SMV)
 
 RESULT_HEADER = (
     "solver,n,N,L,k,rank,noise_sigma,seed,relative_error,support_exact,"
@@ -56,6 +63,50 @@ class TrialResult:
     error: str | None = None
 
 
+def _column_problems(problem):
+    """The L single-column problems of the per-channel baseline."""
+    eps_col = problem.epsilon / np.sqrt(problem.L)
+    return [
+        MmvProblem(A=problem.A, B=problem.B[:, j : j + 1], epsilon=eps_col, Psi=problem.Psi)
+        for j in range(problem.L)
+    ]
+
+
+def _stacked_columns(problem, reports):
+    """The per-channel report of ``problem`` from its column reports, or the
+    first column's error."""
+    for report in reports:
+        if isinstance(report, Exception):
+            return report
+    estimate = np.column_stack([r.estimate[:, 0] for r in reports])
+    alpha_hat = problem.coefficients_from_signal(estimate)
+    trace = [value for r in reports for value in r.objective_trace]
+    return RecoveryReport(
+        estimate=estimate,
+        inner_iterations=sum(r.inner_iterations for r in reports),
+        outer_iterations=1,
+        final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
+        final_objective=trace[-1] if trace else 0.0,
+        detected_support=detected_support(alpha_hat),
+        objective_trace=trace,
+        wall_time=sum(r.wall_time for r in reports),
+        converged=all(r.converged for r in reports),
+    )
+
+
+def solve_smv_batch(problems, smoothing=None, cfg=None):
+    """Per-channel baseline on every problem, all columns solved as one batch.
+
+    Returns one report (or error) per problem, as :func:`solve_smv_per_column`
+    would give it; ``wall_time`` is the problem's share of the batch.
+    """
+    columns = [_column_problems(p) for p in problems]
+    reports = iter(nesta_solve_batch([c for cols in columns for c in cols], smoothing, cfg))
+    return [
+        _stacked_columns(p, [next(reports) for _ in cols]) for p, cols in zip(problems, columns)
+    ]
+
+
 def solve_smv_per_column(problem, smoothing=None, cfg=None):
     """Per-channel baseline: solve each column as its own L=1 problem.
 
@@ -64,39 +115,68 @@ def solve_smv_per_column(problem, smoothing=None, cfg=None):
     split as epsilon / sqrt(L) per column, which keeps the stacked
     residual within the original ball.
     """
-    t0 = time.perf_counter()
-    L = problem.L
-    eps_col = problem.epsilon / np.sqrt(L)
-    columns = []
-    inner = 0
-    trace = []
-    converged = True
-    for j in range(L):
-        sub = MmvProblem(
-            A=problem.A, B=problem.B[:, j : j + 1], epsilon=eps_col, Psi=problem.Psi
+    (report,) = solve_smv_batch([problem], smoothing, cfg)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def solve_problems(
+    solver, problems, k, smoothing=None, cfg=None, iht_cfg=None, use_music=False, max_outer=10
+):
+    """Run one solver on each problem; a report, or the error it raised, each.
+
+    ``nesta`` and ``smv`` solve the whole list as one batch, and a report's
+    ``wall_time`` is its share of that batch; ``iterative-nesta`` and
+    ``iht`` solve one problem after another. ``k`` is the row count the
+    thresholding solvers keep.
+    """
+    if solver not in SOLVERS:
+        raise InvalidArgumentError(f"unknown solver {solver!r}; use one of {SOLVERS}")
+    if solver == SOLVER_NESTA:
+        return nesta_solve_batch(problems, smoothing, cfg)
+    if solver == SOLVER_SMV:
+        return solve_smv_batch(problems, smoothing, cfg)
+    reports = []
+    for problem in problems:
+        try:
+            if solver == SOLVER_ITERATIVE_NESTA:
+                report = iterative_nesta(
+                    problem, k, smoothing, cfg, use_music=use_music, max_outer=max_outer
+                )
+            else:
+                report = iht_solve(problem, iht_cfg if iht_cfg is not None else IhtConfig(k=k))
+        except SOLVER_ERRORS as exc:
+            report = exc
+        reports.append(report)
+    return reports
+
+
+def _trial_result(spec, solver, instance, report, wall, success_threshold):
+    """Score a report (or a solver error) against the instance's truth."""
+    if isinstance(report, Exception):
+        return TrialResult(
+            spec=spec,
+            solver=solver,
+            relative_error=float("inf"),
+            support_exact=False,
+            inner_iterations=0,
+            outer_iterations=0,
+            wall_time=wall,
+            success=False,
+            error=str(report),
         )
-        rep = nesta_solve(sub, smoothing, cfg)
-        columns.append(rep.estimate[:, 0])
-        inner += rep.inner_iterations
-        trace.extend(rep.objective_trace)
-        converged = converged and rep.converged
-    estimate = np.column_stack(columns)
-    alpha_hat = problem.coefficients_from_signal(estimate)
-    max_row = float(row_norms(alpha_hat, 2).max())
-    detected = (
-        row_support(alpha_hat, DETECT_REL_TOL * max_row) if max_row > 0 else SupportSet()
-    )
-    residual = float(np.linalg.norm(problem.phi @ alpha_hat - problem.B))
-    return RecoveryReport(
-        estimate=estimate,
-        inner_iterations=inner,
-        outer_iterations=1,
-        final_residual=residual,
-        final_objective=trace[-1] if trace else 0.0,
-        detected_support=detected,
-        objective_trace=trace,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
+    truth_norm = float(np.linalg.norm(instance.X_true))
+    rel = float(np.linalg.norm(report.estimate - instance.X_true)) / truth_norm
+    return TrialResult(
+        spec=spec,
+        solver=solver,
+        relative_error=rel,
+        support_exact=report.detected_support == instance.support_true,
+        inner_iterations=report.inner_iterations,
+        outer_iterations=report.outer_iterations,
+        wall_time=wall,
+        success=rel < success_threshold,
     )
 
 
@@ -116,45 +196,30 @@ def run_trial(
     if solver not in SOLVERS:
         raise InvalidArgumentError(f"unknown solver {solver!r}; use one of {SOLVERS}")
     instance = gen_instance(spec)
-    problem = instance.problem
     k_thr = spec.k if k_threshold is None else k_threshold
     t0 = time.perf_counter()
-    try:
-        if solver == SOLVER_NESTA:
-            report = nesta_solve(problem, smoothing, cfg)
-        elif solver == SOLVER_ITERATIVE_NESTA:
-            report = iterative_nesta(
-                problem, k_thr, smoothing, cfg, use_music=use_music, max_outer=max_outer
-            )
-        elif solver == SOLVER_IHT:
-            report = iht_solve(problem, iht_cfg if iht_cfg is not None else IhtConfig(k=k_thr))
-        else:
-            report = solve_smv_per_column(problem, smoothing, cfg)
-    except (InfeasibleProblemError, DegenerateInputError, InvalidArgumentError) as exc:
-        return TrialResult(
-            spec=spec,
-            solver=solver,
-            relative_error=float("inf"),
-            support_exact=False,
-            inner_iterations=0,
-            outer_iterations=0,
-            wall_time=time.perf_counter() - t0,
-            success=False,
-            error=str(exc),
-        )
-    wall = time.perf_counter() - t0
-    truth_norm = float(np.linalg.norm(instance.X_true))
-    rel = float(np.linalg.norm(report.estimate - instance.X_true)) / truth_norm
-    return TrialResult(
-        spec=spec,
-        solver=solver,
-        relative_error=rel,
-        support_exact=report.detected_support == instance.support_true,
-        inner_iterations=report.inner_iterations,
-        outer_iterations=report.outer_iterations,
-        wall_time=wall,
-        success=rel < success_threshold,
+    (report,) = solve_problems(
+        solver, [instance.problem], k_thr, smoothing, cfg, iht_cfg, use_music, max_outer
     )
+    wall = time.perf_counter() - t0
+    return _trial_result(spec, solver, instance, report, wall, success_threshold)
+
+
+def _batched_cell(specs, instances, solver, success_threshold):
+    """The trial results of a batched solver on one cell's instances; each
+    trial's wall time is its share of the cell's solve time."""
+    reports = solve_problems(solver, [inst.problem for inst in instances], specs[0].k)
+    return [
+        _trial_result(
+            spec,
+            solver,
+            inst,
+            report,
+            0.0 if isinstance(report, Exception) else report.wall_time,
+            success_threshold,
+        )
+        for spec, inst, report in zip(specs, instances, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -244,6 +309,7 @@ def run_sweep(sweep):
     (n, k, solver) to a dict with success_rate and medians. The output file
     records the success threshold in a comment line above the header; rerun
     with identical config, the file is byte-identical except wall times.
+    The batched solvers of a cell share its generated instances.
     """
     fh = open(sweep.output, "w")
     try:
@@ -253,15 +319,22 @@ def run_sweep(sweep):
         aggregates = {}
         for n in sweep.grid_n:
             for k in sweep.grid_k:
+                specs = [
+                    replace(sweep.base, n=n, k=k, seed=sweep.base.seed + t)
+                    for t in range(sweep.trials)
+                ]
+                instances = None
                 for solver in sweep.solvers:
-                    cell = []
-                    for t in range(sweep.trials):
-                        spec = replace(sweep.base, n=n, k=k, seed=sweep.base.seed + t)
-                        result = run_trial(
-                            spec, solver, success_threshold=sweep.success_threshold
-                        )
-                        cell.append(result)
-                        fh.write(_trial_row(result) + "\n")
+                    if solver in BATCHED_SOLVERS:
+                        if instances is None:
+                            instances = [gen_instance(spec) for spec in specs]
+                        cell = _batched_cell(specs, instances, solver, sweep.success_threshold)
+                    else:
+                        cell = [
+                            run_trial(spec, solver, success_threshold=sweep.success_threshold)
+                            for spec in specs
+                        ]
+                    fh.writelines(_trial_row(result) + "\n" for result in cell)
                     agg = _aggregate(cell)
                     aggregates[(n, k, solver)] = agg
                     fh.write(_aggregate_row(solver, cell[0].spec, agg) + "\n")

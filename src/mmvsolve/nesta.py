@@ -43,8 +43,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    SOLVER_ERRORS,
     InfeasibleProblemError,
     InvalidArgumentError,
+    MmvProblem,
     SupportSet,
     as_matrix,
     hard_threshold_rows,
@@ -314,6 +316,212 @@ def initial_state(alpha0):
     )
 
 
+class _Operators:
+    """The operator phi of every slot of a batch, each distinct one stored once.
+
+    ``stack`` holds the distinct operators and ``groups`` gives the stack
+    row of each input slot. Slots that share an operator (the column
+    problems of one ``smv`` trial) are put in layers: layer j holds the
+    j-th slot of every operator that has more than j, operators in
+    decreasing order of slot count, so each layer multiplies a prefix of
+    the stack and phi is never copied per slot. ``order`` lists the input
+    slots in the new slot order.
+    """
+
+    def __init__(self, stack, groups):
+        members = {}
+        for pos, group in enumerate(groups):
+            members.setdefault(group, []).append(pos)
+        ranked = sorted(members.values(), key=len, reverse=True)
+        self.layers = [sum(len(m) > j for m in ranked) for j in range(len(ranked[0]))]
+        self.order = [m[j] for j, size in enumerate(self.layers) for m in ranked[:size]]
+        self.rows = [i for size in self.layers for i in range(size)]
+        rows = [groups[m[0]] for m in ranked]
+        self.stack = stack if rows == list(range(len(stack))) else stack[rows]
+        # one stacked product serves every slot: one slot per operator, or
+        # one operator broadcast over every slot
+        self.flat = len(self.stack) == 1 or len(self.layers) == 1
+
+    @classmethod
+    def of(cls, phis):
+        distinct = {}
+        groups = [distinct.setdefault(id(phi), (len(distinct), phi))[0] for phi in phis]
+        stack = [phi for _, phi in distinct.values()]
+        return cls(stack[0][None] if len(stack) == 1 else np.stack(stack), groups)
+
+    def take(self, slots):
+        """The operators of the given slots, laid out anew."""
+        return _Operators(self.stack, [self.rows[j] for j in slots])
+
+    def apply(self, X):
+        """phi @ X for every slot of X (P x N x L)."""
+        if self.flat:
+            return np.matmul(self.stack, X)
+        return self._layered(X, left=False)
+
+    def apply_left(self, Y):
+        """Y @ phi for every slot of Y (P x m x n): the transpose of phi^T Y^T,
+        taken this way so that phi^T is never formed."""
+        if self.flat:
+            return np.matmul(Y, self.stack)
+        return self._layered(Y, left=True)
+
+    def _layered(self, X, left):
+        shape = list(X.shape)
+        shape[2 if left else 1] = self.stack.shape[2 if left else 1]
+        out = np.empty(shape)
+        start = 0
+        for size in self.layers:
+            end = start + size
+            ops = self.stack[:size]
+            if left:
+                np.matmul(X[start:end], ops, out=out[start:end])
+            else:
+                np.matmul(ops, X[start:end], out=out[start:end])
+            start = end
+        return out
+
+
+class _Batch:
+    """Problems that iterate together, stacked along a leading axis.
+
+    Every argument is in slot order; :meth:`of` builds a batch from
+    parallel lists in any order. The projectors supply each slot's data,
+    radius and projection path.
+    """
+
+    def __init__(self, operators, projectors, mu, B, smoothing):
+        self.operators = operators
+        self.projectors = projectors
+        self.mu = mu
+        self.B = B
+        self.eps = np.array([p.eps for p in projectors])
+        self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
+        self.general = [j for j, p in enumerate(projectors) if p.gram_scale is None]
+        self.smoothing = smoothing
+
+    @classmethod
+    def of(cls, phis, projectors, mus, smoothing):
+        """The batch of the given problems and, per slot, its input position."""
+        operators = _Operators.of(phis)
+        order = operators.order
+        projectors = [projectors[i] for i in order]
+        mu = np.array([mus[i] for i in order], dtype=float)
+        B = np.stack([p.B for p in projectors])
+        return cls(operators, projectors, mu, B, smoothing), order
+
+    def take(self, slots):
+        """The batch of the given slots and, per new slot, the old slot it holds."""
+        operators = self.operators.take(slots)
+        taken = np.asarray(slots)[operators.order]
+        projectors = [self.projectors[j] for j in taken]
+        batch = _Batch(operators, projectors, self.mu[taken], self.B[taken], self.smoothing)
+        return batch, taken
+
+    def project(self, points, images):
+        """Project the two points of every slot onto the slot's ball.
+
+        ``points`` (2 x P x N x L) holds each slot's two points and
+        ``images`` (2 x P x n x L) their images phi q. Returns the projected
+        points and images in the same layout, and (slot, error) for each
+        slot whose projection raised. A point inside its ball gets a zero
+        correction; one product with phi serves every move and is skipped
+        when no point moved. Certified slots take the radial shrink of
+        :meth:`FeasibilityProjector.correction` here, vectorized; the others
+        call it.
+        """
+        r = images - self.B
+        _, P, n, L = r.shape
+        if len(self.general) < P:
+            flat = r.reshape(2 * P, n * L, 1)
+            rho = np.sqrt(np.matmul(flat.transpose(0, 2, 1), flat)).reshape(2, P)
+            out = rho > self.eps
+            moved = out.any()
+            shrink = 1.0 - np.divide(self.eps, rho, out=np.ones_like(rho), where=out)
+            v = (shrink / self.scale)[..., None, None] * r
+            gv = shrink[..., None, None] * r
+        else:
+            moved, v, gv = False, np.zeros_like(r), np.zeros_like(r)
+        errors = []
+        for j in self.general:
+            v[:, j] = gv[:, j] = 0.0
+            try:
+                for i in (0, 1):
+                    corr = self.projectors[j].correction(r[i, j])
+                    if corr is not None:
+                        v[i, j], gv[i, j] = corr
+                        moved = True
+            except SOLVER_ERRORS as exc:
+                errors.append((j, exc))
+        if not moved:
+            return points, images, errors
+        # [v_y | v_z] of each slot: one product for both points
+        back = self.operators.apply_left(v.transpose(1, 2, 0, 3).reshape(P, n, 2 * L).transpose(0, 2, 1))
+        N = back.shape[2]
+        points = points - back.reshape(P, 2, L, N).transpose(1, 0, 3, 2)
+        return points, images - gv, errors
+
+
+def _step(state, batch):
+    """One iteration of every slot of ``batch``; the state's arrays are stacks.
+
+    Returns the new state, the objective at each slot's new y and the
+    (slot, error) pairs of projections that raised. :func:`nesta_step` and
+    the stages of :func:`nesta_solve_batch` both run on this step.
+    """
+    ops = batch.operators
+    k = state.k
+    if state.phi_alpha is None:
+        trusted = trusted_rows(batch.smoothing.known_support, state.alpha.shape[1])
+        phi_prox = ops.apply(state.prox_center)
+    else:
+        trusted, phi_prox = state.trusted, state.phi_prox
+    if state.phi_alpha is None or k % REFRESH_EVERY == 0:
+        phi_alpha, phi_accum = ops.apply(state.alpha), ops.apply(state.grad_accum)
+    else:
+        phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
+
+    mu = batch.mu[:, None, None]
+    aggregator = batch.smoothing.aggregator
+    grad = huber_gradient(state.alpha, batch.mu, aggregator, trusted)
+    phi_grad = ops.apply(grad)
+    weight = 0.5 * (k + 1)
+    grad_accum = state.grad_accum + weight * grad
+    phi_accum = phi_accum + weight * phi_grad
+    points = np.empty((2,) + grad.shape)
+    np.subtract(state.alpha, mu * grad, out=points[0])
+    np.subtract(state.prox_center, mu * grad_accum, out=points[1])
+    images = np.empty((2,) + phi_grad.shape)
+    np.subtract(phi_alpha, mu * phi_grad, out=images[0])
+    np.subtract(phi_prox, mu * phi_accum, out=images[1])
+    (y, z), (phi_y, phi_z), errors = batch.project(points, images)
+    tau = 2.0 / (k + 3)
+    objective = huber_objective(y, batch.mu, aggregator, trusted)
+    new = NestaState(
+        k=k + 1,
+        alpha=tau * z + (1.0 - tau) * y,
+        y=y,
+        z=z,
+        prox_center=state.prox_center,
+        grad_accum=grad_accum,
+        objective_trace=state.objective_trace,
+        phi_alpha=tau * phi_z + (1.0 - tau) * phi_y,
+        phi_prox=phi_prox,
+        phi_accum=phi_accum,
+        trusted=trusted,
+    )
+    return new, objective, errors
+
+
+_STACKED_FIELDS = ("alpha", "y", "z", "prox_center", "grad_accum", "phi_alpha", "phi_prox", "phi_accum")
+
+
+def _map_arrays(state, fn):
+    """The state with ``fn`` applied to each of its (possibly unset) arrays."""
+    arrays = {f: getattr(state, f) for f in _STACKED_FIELDS}
+    return replace(state, **{f: None if a is None else fn(a) for f, a in arrays.items()})
+
+
 def nesta_step(state, problem, smoothing, cfg=None, projector=None):
     """Advance the solver by one iteration; returns the new state.
 
@@ -327,67 +535,128 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None):
     ``phi^T`` product for the points that leave the ball. The first step
     of a stage validates the iterate, builds the trusted-row mask and
     computes the tracked images exactly; every REFRESH_EVERY iterations
-    the drifting ones are recomputed.
+    the drifting ones are recomputed. This is the batched step of
+    :func:`nesta_solve_batch` run on a batch of one.
     """
     if projector is None:
         projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
-    phi = problem.phi
-    k = state.k
     if state.phi_alpha is None:
-        n_rows = as_matrix(state.alpha, "coefficients").shape[0]
-        trusted = trusted_rows(smoothing.known_support, n_rows)
-        phi_prox = phi @ state.prox_center
+        as_matrix(state.alpha, "coefficients")
+    batch, _ = _Batch.of([problem.phi], [projector], [smoothing.mu], smoothing)
+    new, objective, errors = _step(_map_arrays(state, lambda a: a[None]), batch)
+    if errors:
+        raise errors[0][1]
+    state.objective_trace.append(float(objective[0]))
+    return _map_arrays(new, lambda a: a[0])
+
+
+@dataclass(eq=False)
+class _Solve:
+    """One problem's progress through :func:`nesta_solve_batch`."""
+
+    problem: MmvProblem
+    projector: FeasibilityProjector
+    schedule: list
+    floor: float
+    x: np.ndarray
+    trace: list = field(default_factory=list)
+    stage_iterations: list = field(default_factory=list)
+    converged: bool = True
+    error: Exception | None = None
+
+
+def _start(problem, smoothing, cfg):
+    """A :class:`_Solve` at the projected back-projection of the data, or
+    the final report when the data is zero."""
+    eps = problem.epsilon if cfg.epsilon is None else cfg.epsilon
+    smoothing.known_support.validate_for(problem.N)
+    corr = problem.phi.T @ problem.B
+    scale = float(row_norms(corr, 2).max())
+    if scale == 0.0:
+        return _zero_data_report(problem, eps)
+    mu_final = MU_FINAL_FACTOR * scale if cfg.mu_final is None else cfg.mu_final
+    mu0 = MU0_FACTOR * scale
+    if mu_final >= mu0:
+        schedule = [mu_final]
     else:
-        trusted, phi_prox = state.trusted, state.phi_prox
-    if state.phi_alpha is None or k % REFRESH_EVERY == 0:
-        phi_alpha, phi_accum = phi @ state.alpha, phi @ state.grad_accum
-    else:
-        phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
+        ratio = (mu_final / mu0) ** (1.0 / cfg.continuation_stages)
+        schedule = [mu0 * ratio ** (i + 1) for i in range(cfg.continuation_stages)]
+    projector = _build_projector(problem, eps)
+    return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
-    mu = smoothing.mu
-    grad = huber_gradient(state.alpha, smoothing, trusted)
-    phi_grad = phi @ grad
-    weight = 0.5 * (k + 1)
-    grad_accum = state.grad_accum + weight * grad
-    phi_accum = phi_accum + weight * phi_grad
-    (y, z), (phi_y, phi_z) = projector.project_images(
-        [state.alpha - mu * grad, state.prox_center - mu * grad_accum],
-        [phi_alpha - mu * phi_grad, phi_prox - mu * phi_accum],
+
+def _run_stage(solves, stage, smoothing, cfg):
+    """Run continuation stage ``stage`` of the given solves as one batch.
+
+    Every solve iterates at its own mu from its last y until the relative
+    spread of its objective over the last ``stop_window`` iterations drops
+    below ``stop_tol``, its objective falls under its floor, or
+    ``max_inner_iters``; it then leaves the batch, so that it iterates
+    exactly as often as it would alone. A solve whose projection raises
+    leaves with the error recorded.
+    """
+
+    def flush(segment, active):
+        block = np.array(segment)
+        for j, solve in enumerate(active):
+            solve.trace.extend(block[:, j].tolist())
+
+    batch, order = _Batch.of(
+        [s.problem.phi for s in solves],
+        [s.projector for s in solves],
+        [s.schedule[stage] for s in solves],
+        smoothing,
     )
-    tau = 2.0 / (k + 3)
-    trace = state.objective_trace
-    trace.append(huber_objective(y, smoothing, trusted))
-    return NestaState(
-        k=k + 1,
-        alpha=tau * z + (1.0 - tau) * y,
-        y=y,
-        z=z,
-        prox_center=state.prox_center,
-        grad_accum=grad_accum,
-        objective_trace=trace,
-        phi_alpha=tau * phi_z + (1.0 - tau) * phi_y,
-        phi_prox=phi_prox,
-        phi_accum=phi_accum,
-        trusted=trusted,
-    )
-
-
-def _run_stage(x0, problem, smoothing, cfg, projector, floor=0.0):
-    """Iterate at fixed smoothing until the windowed objective flattens."""
-    state = initial_state(x0)
+    active = [solves[i] for i in order]
+    state = initial_state(np.stack([s.x for s in active]))
+    width = cfg.stop_window
+    # each objective is written twice, so the last ``width`` of them are
+    # always the contiguous rows k % width .. k % width + width - 1
+    recent = np.empty((2 * width, len(active)))
+    floor = np.array([s.floor for s in active])
+    segment = []
     for _ in range(cfg.max_inner_iters):
-        state = nesta_step(state, problem, smoothing, cfg, projector)
-        trace = state.objective_trace
-        if len(trace) >= cfg.stop_window:
-            window = trace[-cfg.stop_window :]
-            spread = max(window) - min(window)
-            level = abs(sum(window) / len(window))
-            if spread <= cfg.stop_tol * max(level, 1e-30) or max(window) <= floor:
-                return state, True
-    return state, False
+        state, objective, errors = _step(state, batch)
+        k = state.k
+        recent[(k - 1) % width] = recent[(k - 1) % width + width] = objective
+        segment.append(objective)
+        if k < width and not errors:
+            continue
+        leaving = np.zeros(len(active), dtype=bool)
+        if k >= width:
+            # oldest first and summed in order, as the test of one problem
+            window = recent[k % width : k % width + width]
+            level = np.abs(np.add.accumulate(window)[-1] / width)
+            top = np.maximum.reduce(window)
+            spread = top - np.minimum.reduce(window)
+            leaving = (spread <= cfg.stop_tol * np.maximum(level, 1e-30)) | (top <= floor)
+        for j, exc in errors:
+            leaving[j] = True
+            active[j].error = exc
+        if not leaving.any():
+            continue
+        flush(segment, active)
+        segment = []
+        for j in np.flatnonzero(leaving):
+            solve = active[j]
+            if solve.error is None:
+                solve.x = state.y[j].copy()
+                solve.stage_iterations.append(k)
+        keep = np.flatnonzero(~leaving)
+        if not keep.size:
+            return
+        batch, taken = batch.take(keep)
+        active = [active[j] for j in taken]
+        state = _map_arrays(state, lambda a: a[taken])
+        recent, floor = recent[:, taken], floor[taken]
+    flush(segment, active)
+    for j, solve in enumerate(active):
+        solve.x = state.y[j].copy()
+        solve.stage_iterations.append(state.k)
+        solve.converged = False
 
 
-def _zero_data_report(problem, eps, t0):
+def _zero_data_report(problem, eps):
     alpha = np.zeros((problem.N, problem.L))
     resid = float(np.linalg.norm(problem.B))
     if resid > eps:
@@ -403,9 +672,77 @@ def _zero_data_report(problem, eps, t0):
         final_objective=0.0,
         detected_support=SupportSet(),
         objective_trace=[],
-        wall_time=time.perf_counter() - t0,
+        wall_time=0.0,
         converged=True,
     )
+
+
+def detected_support(alpha):
+    """Rows of a coefficient estimate above DETECT_REL_TOL of its largest row."""
+    max_row = float(row_norms(alpha, 2).max())
+    return row_support(alpha, DETECT_REL_TOL * max_row) if max_row > 0 else SupportSet()
+
+
+def _report(solve):
+    problem, alpha_hat, trace = solve.problem, solve.x, solve.trace
+    return RecoveryReport(
+        estimate=problem.signal_from_coefficients(alpha_hat),
+        inner_iterations=sum(solve.stage_iterations),
+        outer_iterations=1,
+        final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
+        final_objective=trace[-1] if trace else 0.0,
+        detected_support=detected_support(alpha_hat),
+        objective_trace=trace,
+        wall_time=0.0,
+        converged=solve.converged,
+        stage_iterations=solve.stage_iterations,
+    )
+
+
+def nesta_solve_batch(problems, smoothing=None, cfg=None):
+    """Solve problems of one shape together; one report (or error) each.
+
+    Each problem keeps its own data scale, mu schedule, radius, projector
+    and stop decisions, and gets the report :func:`nesta_solve` describes,
+    bit for bit the one it would get alone. The continuation stages run in
+    step: every problem still in a stage iterates on stacked arrays, with
+    two stacked products with phi per iteration, until its own stop test
+    removes it from the batch. A problem whose solve raises one of
+    SOLVER_ERRORS gets the error in its place of the returned list; the
+    others are not affected. Each report's ``wall_time`` is its share of
+    the call's elapsed time, in proportion to inner iterations.
+    """
+    t0 = time.perf_counter()
+    smoothing = SmoothingConfig() if smoothing is None else smoothing
+    cfg = NestaConfig() if cfg is None else cfg
+    problems = list(problems)
+    if len({(p.n, p.N, p.L) for p in problems}) > 1:
+        raise InvalidArgumentError("problems solved as one batch must share n, N and L")
+    results = [None] * len(problems)
+    solves = {}
+    for i, problem in enumerate(problems):
+        try:
+            started = _start(problem, smoothing, cfg)
+        except SOLVER_ERRORS as exc:
+            results[i] = exc
+            continue
+        if isinstance(started, RecoveryReport):
+            results[i] = started
+        else:
+            solves[i] = started
+    for stage in range(max((len(s.schedule) for s in solves.values()), default=0)):
+        running = [s for s in solves.values() if s.error is None and stage < len(s.schedule)]
+        if running:
+            _run_stage(running, stage, smoothing, cfg)
+    for i, solve in solves.items():
+        results[i] = solve.error if solve.error is not None else _report(solve)
+
+    elapsed = time.perf_counter() - t0
+    reports = [r for r in results if isinstance(r, RecoveryReport)]
+    total = sum(r.inner_iterations for r in reports)
+    for r in reports:
+        r.wall_time = elapsed * (r.inner_iterations / total) if total else elapsed / len(reports)
+    return results
 
 
 def nesta_solve(problem, smoothing=None, cfg=None):
@@ -415,61 +752,13 @@ def nesta_solve(problem, smoothing=None, cfg=None):
     its mu is managed by the continuation schedule, which runs
     ``continuation_stages`` geometric steps from MU0_FACTOR times the data
     scale down to ``mu_final``. The returned estimate is the last
-    gradient-mapped point y (always feasible), mapped through Psi.
+    gradient-mapped point y (always feasible), mapped through Psi. This is
+    :func:`nesta_solve_batch` on a batch of one; its error is raised.
     """
-    t0 = time.perf_counter()
-    smoothing = SmoothingConfig() if smoothing is None else smoothing
-    cfg = NestaConfig() if cfg is None else cfg
-    eps = problem.epsilon if cfg.epsilon is None else cfg.epsilon
-    smoothing.known_support.validate_for(problem.N)
-
-    phi = problem.phi
-    corr = phi.T @ problem.B
-    scale = float(row_norms(corr, 2).max())
-    if scale == 0.0:
-        return _zero_data_report(problem, eps, t0)
-
-    mu_final = MU_FINAL_FACTOR * scale if cfg.mu_final is None else cfg.mu_final
-    mu0 = MU0_FACTOR * scale
-    if mu_final >= mu0:
-        schedule = [mu_final]
-    else:
-        ratio = (mu_final / mu0) ** (1.0 / cfg.continuation_stages)
-        schedule = [mu0 * ratio ** (i + 1) for i in range(cfg.continuation_stages)]
-
-    projector = _build_projector(problem, eps)
-    x = projector(corr)
-    total_inner = 0
-    trace = []
-    stage_iters = []
-    converged = True
-    floor = OBJECTIVE_FLOOR_FACTOR * scale
-    for mu in schedule:
-        stage_smoothing = replace(smoothing, mu=mu)
-        state, stopped = _run_stage(x, problem, stage_smoothing, cfg, projector, floor)
-        x = state.y
-        total_inner += state.k
-        stage_iters.append(state.k)
-        trace.extend(state.objective_trace)
-        converged = converged and stopped
-
-    alpha_hat = x
-    max_row = float(row_norms(alpha_hat, 2).max())
-    detected = (
-        row_support(alpha_hat, DETECT_REL_TOL * max_row) if max_row > 0 else SupportSet()
-    )
-    return RecoveryReport(
-        estimate=problem.signal_from_coefficients(alpha_hat),
-        inner_iterations=total_inner,
-        outer_iterations=1,
-        final_residual=float(np.linalg.norm(phi @ alpha_hat - problem.B)),
-        final_objective=trace[-1] if trace else 0.0,
-        detected_support=detected,
-        objective_trace=trace,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-        stage_iterations=stage_iters,
-    )
+    (report,) = nesta_solve_batch([problem], smoothing, cfg)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def _music_seed(problem, k, delta):

@@ -17,7 +17,9 @@ uses directly as its step-size constant.
 ``smoothed_objective`` and ``smoothed_gradient`` validate their input. The
 kernels behind them, ``huber_objective`` and ``huber_gradient``, do not: a
 solver validates once and passes the trusted-row mask it built with
-``trusted_rows``.
+``trusted_rows``. The kernels work on a stack of problems, a leading axis
+of P coefficient blocks with one mu each, and treat every block exactly as
+they would treat it alone.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _huber(t, mu):
 
 
 def _row_l2(alpha):
-    return np.sqrt((alpha * alpha).sum(axis=1))
+    return np.sqrt((alpha * alpha).sum(axis=-1))
 
 
 def trusted_rows(support, n_rows):
@@ -77,28 +79,31 @@ def trusted_rows(support, n_rows):
     return mask if mask.any() else None
 
 
-def huber_objective(alpha, cfg, trusted):
-    """Kernel of :func:`smoothed_objective`: no validation, ``trusted`` from
-    :func:`trusted_rows`."""
-    if cfg.aggregator == AGGREGATOR_ROW_L2:
-        values = _huber(_row_l2(alpha), cfg.mu)
+def huber_objective(alpha, mu, aggregator, trusted):
+    """Kernel of :func:`smoothed_objective` over a stack: the objective of
+    each block of ``alpha`` (P x N x L) at its ``mu`` (length P), as a
+    length-P array. No validation; ``trusted`` from :func:`trusted_rows`."""
+    if aggregator == AGGREGATOR_ROW_L2:
+        values = _huber(_row_l2(alpha), mu[:, None])
     else:
-        values = _huber(np.abs(alpha), cfg.mu)
+        values = _huber(np.abs(alpha), mu[:, None, None])
     if trusted is not None:
-        values = values[~trusted]
-    return float(values.sum())
+        values = values[:, ~trusted]
+    return values.reshape(len(values), -1).sum(axis=1)
 
 
-def huber_gradient(alpha, cfg, trusted):
-    """Kernel of :func:`smoothed_gradient`: no validation, ``trusted`` from
+def huber_gradient(alpha, mu, aggregator, trusted):
+    """Kernel of :func:`smoothed_gradient` over a stack: ``alpha`` is
+    P x N x L, ``mu`` has length P. No validation; ``trusted`` from
     :func:`trusted_rows`."""
-    if cfg.aggregator == AGGREGATOR_ROW_L2:
+    if aggregator == AGGREGATOR_ROW_L2:
         t = _row_l2(alpha)
-        grad = alpha / np.where(t >= cfg.mu, t, cfg.mu)[:, None]
+        m = mu[:, None]
+        grad = alpha / np.where(t >= m, t, m)[..., None]
     else:
-        grad = np.clip(alpha / cfg.mu, -1.0, 1.0)
+        grad = np.clip(alpha / mu[:, None, None], -1.0, 1.0)
     if trusted is not None:
-        grad[trusted] = 0.0
+        grad[:, trusted] = 0.0
     return grad
 
 
@@ -110,7 +115,8 @@ def smoothed_objective(alpha, cfg):
     norm restricted to those rows.
     """
     alpha = as_matrix(alpha, "coefficients")
-    return huber_objective(alpha, cfg, trusted_rows(cfg.known_support, alpha.shape[0]))
+    trusted = trusted_rows(cfg.known_support, alpha.shape[0])
+    return float(huber_objective(alpha[None], np.array([cfg.mu]), cfg.aggregator, trusted)[0])
 
 
 def smoothed_gradient(alpha, cfg):
@@ -122,4 +128,5 @@ def smoothed_gradient(alpha, cfg):
     get an exactly zero gradient.
     """
     alpha = as_matrix(alpha, "coefficients")
-    return huber_gradient(alpha, cfg, trusted_rows(cfg.known_support, alpha.shape[0]))
+    trusted = trusted_rows(cfg.known_support, alpha.shape[0])
+    return huber_gradient(alpha[None], np.array([cfg.mu]), cfg.aggregator, trusted)[0]
