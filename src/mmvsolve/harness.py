@@ -80,13 +80,13 @@ def _stacked_columns(problem, reports):
             return report
     estimate = np.column_stack([r.estimate[:, 0] for r in reports])
     alpha_hat = problem.coefficients_from_signal(estimate)
-    trace = [value for r in reports for value in r.objective_trace]
+    trace = np.concatenate([r.objective_trace for r in reports])
     return RecoveryReport(
         estimate=estimate,
         inner_iterations=sum(r.inner_iterations for r in reports),
         outer_iterations=1,
         final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
-        final_objective=trace[-1] if trace else 0.0,
+        final_objective=float(trace[-1]) if len(trace) else 0.0,
         detected_support=detected_support(alpha_hat),
         objective_trace=trace,
         wall_time=sum(r.wall_time for r in reports),
@@ -101,10 +101,12 @@ def solve_smv_batch(problems, smoothing=None, cfg=None):
     would give it; ``wall_time`` is the problem's share of the batch.
     """
     columns = [_column_problems(p) for p in problems]
-    reports = iter(nesta_solve_batch([c for cols in columns for c in cols], smoothing, cfg))
-    return [
-        _stacked_columns(p, [next(reports) for _ in cols]) for p, cols in zip(problems, columns)
-    ]
+    reports = nesta_solve_batch([c for cols in columns for c in cols], smoothing, cfg)
+    stacked = []
+    for problem, cols in zip(problems, columns):
+        stacked.append(_stacked_columns(problem, reports[: len(cols)]))
+        del reports[: len(cols)]  # drop the column reports as they are merged
+    return stacked
 
 
 def solve_smv_per_column(problem, smoothing=None, cfg=None):
@@ -365,13 +367,23 @@ def _trial_row(r):
     return ",".join(_fmt(v) for v in fields)
 
 
+def _median(values):
+    """np.median of the values, NaN if any is NaN, without the numpy.ma
+    import that np.median makes for that check (about 2 MB resident)."""
+    x = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(x[-1]):
+        return float("nan")
+    mid = len(x) // 2
+    return float(x[mid]) if len(x) % 2 else float((x[mid - 1] + x[mid]) / 2)
+
+
 def _aggregate(cell):
     return {
         "success_rate": float(np.mean([r.success for r in cell])),
         "support_exact_rate": float(np.mean([r.support_exact for r in cell])),
-        "median_relative_error": float(np.median([r.relative_error for r in cell])),
-        "median_inner_iters": float(np.median([r.inner_iterations for r in cell])),
-        "median_outer_iters": float(np.median([r.outer_iterations for r in cell])),
+        "median_relative_error": _median([r.relative_error for r in cell]),
+        "median_inner_iters": _median([r.inner_iterations for r in cell]),
+        "median_outer_iters": _median([r.outer_iterations for r in cell]),
         "total_wall_time": float(np.sum([r.wall_time for r in cell])),
     }
 

@@ -186,7 +186,7 @@ def iht_solve(problem, cfg):
         final_residual=trace[-1],
         final_objective=trace[-1],
         detected_support=support,
-        objective_trace=trace,
+        objective_trace=np.array(trace),
         wall_time=time.perf_counter() - t0,
         converged=converged,
     )

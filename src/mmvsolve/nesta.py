@@ -138,8 +138,9 @@ class NestaState:
 class RecoveryReport:
     """Outcome of a solver run. ``estimate`` is in the signal domain.
 
-    ``objective_trace`` concatenates all continuation stages (and outer
-    passes); ``stage_iterations`` records the per-stage segment lengths.
+    ``objective_trace`` is a float array that concatenates all continuation
+    stages (and outer passes); ``stage_iterations`` records the per-stage
+    segment lengths.
     """
 
     estimate: np.ndarray
@@ -148,7 +149,7 @@ class RecoveryReport:
     final_residual: float
     final_objective: float
     detected_support: SupportSet
-    objective_trace: list
+    objective_trace: np.ndarray
     wall_time: float
     converged: bool
     stage_iterations: list = field(default_factory=list)
@@ -316,6 +317,36 @@ def initial_state(alpha0):
     )
 
 
+def _gather_rows(stack, rows):
+    """Write stack[rows] over stack[:len(rows)] in place (rows distinct) and
+    return that prefix, so that shrinking a batch allocates no second stack."""
+    m = len(rows)
+    done = [False] * m
+    read = set(rows)
+    # a row that no move reads is written first; each write frees the row it
+    # read, which is written next
+    for d in range(m):
+        if d in read:
+            continue
+        while d < m and not done[d]:
+            stack[d] = stack[rows[d]]
+            done[d] = True
+            d = rows[d]
+    # what is left are cycles: each is broken with one spare row
+    for first in range(m):
+        if done[first] or rows[first] == first:
+            continue
+        spare = stack[first].copy()
+        d = first
+        while rows[d] != first:
+            stack[d] = stack[rows[d]]
+            done[d] = True
+            d = rows[d]
+        stack[d] = spare
+        done[d] = True
+    return stack[:m]
+
+
 class _Operators:
     """The operator phi of every slot of a batch, each distinct one stored once.
 
@@ -325,7 +356,9 @@ class _Operators:
     j-th slot of every operator that has more than j, operators in
     decreasing order of slot count, so each layer multiplies a prefix of
     the stack and phi is never copied per slot. ``order`` lists the input
-    slots in the new slot order.
+    slots in the new slot order. A stack of several operators is the
+    batch's own copy, which :meth:`take` reorders in place; a single
+    operator is used as it is and never written.
     """
 
     def __init__(self, stack, groups):
@@ -337,7 +370,8 @@ class _Operators:
         self.order = [m[j] for j, size in enumerate(self.layers) for m in ranked[:size]]
         self.rows = [i for size in self.layers for i in range(size)]
         rows = [groups[m[0]] for m in ranked]
-        self.stack = stack if rows == list(range(len(stack))) else stack[rows]
+        identity = rows == list(range(len(rows)))
+        self.stack = stack[: len(rows)] if identity else _gather_rows(stack, rows)
         # one stacked product serves every slot: one slot per operator, or
         # one operator broadcast over every slot
         self.flat = len(self.stack) == 1 or len(self.layers) == 1
@@ -350,7 +384,8 @@ class _Operators:
         return cls(stack[0][None] if len(stack) == 1 else np.stack(stack), groups)
 
     def take(self, slots):
-        """The operators of the given slots, laid out anew."""
+        """The operators of the given slots, laid out anew in this stack,
+        which is left to the new operators."""
         return _Operators(self.stack, [self.rows[j] for j in slots])
 
     def apply(self, X):
@@ -422,8 +457,8 @@ class _Batch:
         """Project the two points of every slot onto the slot's ball.
 
         ``points`` (2 x P x N x L) holds each slot's two points and
-        ``images`` (2 x P x n x L) their images phi q. Returns the projected
-        points and images in the same layout, and (slot, error) for each
+        ``images`` (2 x P x n x L) their images phi q; both are projected in
+        place. Returns them and (slot, error) for each
         slot whose projection raised. A point inside its ball gets a zero
         correction; one product with phi serves every move and is skipped
         when no point moved. Certified slots take the radial shrink of
@@ -432,34 +467,38 @@ class _Batch:
         """
         r = images - self.B
         _, P, n, L = r.shape
+        # the corrections v of each slot's two points side by side, [v_y | v_z],
+        # so that one product with phi moves both
+        V = np.empty((P, n, 2, L))
         if len(self.general) < P:
             flat = r.reshape(2 * P, n * L, 1)
             rho = np.sqrt(np.matmul(flat.transpose(0, 2, 1), flat)).reshape(2, P)
             out = rho > self.eps
             moved = out.any()
             shrink = 1.0 - np.divide(self.eps, rho, out=np.ones_like(rho), where=out)
-            v = (shrink / self.scale)[..., None, None] * r
+            np.multiply((shrink / self.scale)[..., None, None], r, out=V.transpose(2, 0, 1, 3))
             gv = shrink[..., None, None] * r
         else:
-            moved, v, gv = False, np.zeros_like(r), np.zeros_like(r)
+            moved, gv = False, np.zeros_like(r)
+            V.fill(0.0)
         errors = []
         for j in self.general:
-            v[:, j] = gv[:, j] = 0.0
+            V[j] = gv[:, j] = 0.0
             try:
                 for i in (0, 1):
                     corr = self.projectors[j].correction(r[i, j])
                     if corr is not None:
-                        v[i, j], gv[i, j] = corr
+                        V[j, :, i], gv[i, j] = corr
                         moved = True
             except SOLVER_ERRORS as exc:
                 errors.append((j, exc))
         if not moved:
             return points, images, errors
-        # [v_y | v_z] of each slot: one product for both points
-        back = self.operators.apply_left(v.transpose(1, 2, 0, 3).reshape(P, n, 2 * L).transpose(0, 2, 1))
+        back = self.operators.apply_left(V.reshape(P, n, 2 * L).transpose(0, 2, 1))
         N = back.shape[2]
-        points = points - back.reshape(P, 2, L, N).transpose(1, 0, 3, 2)
-        return points, images - gv, errors
+        points -= back.reshape(P, 2, L, N).transpose(1, 0, 3, 2)
+        images -= gv
+        return points, images, errors
 
 
 def _step(state, batch):
@@ -559,7 +598,7 @@ class _Solve:
     schedule: list
     floor: float
     x: np.ndarray
-    trace: list = field(default_factory=list)
+    trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     stage_iterations: list = field(default_factory=list)
     converged: bool = True
     error: Exception | None = None
@@ -595,12 +634,6 @@ def _run_stage(solves, stage, smoothing, cfg):
     exactly as often as it would alone. A solve whose projection raises
     leaves with the error recorded.
     """
-
-    def flush(segment, active):
-        block = np.array(segment)
-        for j, solve in enumerate(active):
-            solve.trace.extend(block[:, j].tolist())
-
     batch, order = _Batch.of(
         [s.problem.phi for s in solves],
         [s.projector for s in solves],
@@ -608,18 +641,21 @@ def _run_stage(solves, stage, smoothing, cfg):
         smoothing,
     )
     active = [solves[i] for i in order]
+    ids = np.asarray(order)  # position in ``solves`` of each slot
     state = initial_state(np.stack([s.x for s in active]))
     width = cfg.stop_window
     # each objective is written twice, so the last ``width`` of them are
     # always the contiguous rows k % width .. k % width + width - 1
     recent = np.empty((2 * width, len(active)))
     floor = np.array([s.floor for s in active])
-    segment = []
+    log, epochs = [], []  # objectives since the batch last changed; (ids, block) before
     for _ in range(cfg.max_inner_iters):
+        # the step reads neither y nor z: let them go before it makes new ones
+        state.y = state.z = None
         state, objective, errors = _step(state, batch)
         k = state.k
         recent[(k - 1) % width] = recent[(k - 1) % width + width] = objective
-        segment.append(objective)
+        log.append(objective)
         if k < width and not errors:
             continue
         leaving = np.zeros(len(active), dtype=bool)
@@ -635,8 +671,8 @@ def _run_stage(solves, stage, smoothing, cfg):
             active[j].error = exc
         if not leaving.any():
             continue
-        flush(segment, active)
-        segment = []
+        epochs.append((ids, np.array(log)))
+        log = []
         for j in np.flatnonzero(leaving):
             solve = active[j]
             if solve.error is None:
@@ -644,16 +680,33 @@ def _run_stage(solves, stage, smoothing, cfg):
                 solve.stage_iterations.append(k)
         keep = np.flatnonzero(~leaving)
         if not keep.size:
-            return
+            break
         batch, taken = batch.take(keep)
         active = [active[j] for j in taken]
+        ids = ids[taken]
+        state.y = state.z = None
         state = _map_arrays(state, lambda a: a[taken])
         recent, floor = recent[:, taken], floor[taken]
-    flush(segment, active)
-    for j, solve in enumerate(active):
-        solve.x = state.y[j].copy()
-        solve.stage_iterations.append(state.k)
-        solve.converged = False
+    else:
+        if log:
+            epochs.append((ids, np.array(log)))
+        for j, solve in enumerate(active):
+            solve.x = state.y[j].copy()
+            solve.stage_iterations.append(state.k)
+            solve.converged = False
+    # each solve's objectives in iteration order, as views of one array: a
+    # solve in a block has logged exactly the iterations before that block
+    counts = np.zeros(len(solves), dtype=int)
+    for ids, block in epochs:
+        counts[ids] += len(block)
+    starts = np.cumsum(counts) - counts
+    values = np.empty(counts.sum())
+    before = 0
+    for ids, block in epochs:
+        values[starts[ids] + before + np.arange(len(block))[:, None]] = block
+        before += len(block)
+    for solve, piece in zip(solves, np.split(values, starts[1:])):
+        solve.trace = np.concatenate([solve.trace, piece])
 
 
 def _zero_data_report(problem, eps):
@@ -671,7 +724,7 @@ def _zero_data_report(problem, eps):
         final_residual=resid,
         final_objective=0.0,
         detected_support=SupportSet(),
-        objective_trace=[],
+        objective_trace=np.empty(0),
         wall_time=0.0,
         converged=True,
     )
@@ -690,7 +743,7 @@ def _report(solve):
         inner_iterations=sum(solve.stage_iterations),
         outer_iterations=1,
         final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
-        final_objective=trace[-1] if trace else 0.0,
+        final_objective=float(trace[-1]),
         detected_support=detected_support(alpha_hat),
         objective_trace=trace,
         wall_time=0.0,
@@ -816,7 +869,7 @@ def iterative_nesta(
 
     support = _music_seed(problem, k, music_delta) if use_music else SupportSet()
     total_inner = 0
-    trace = []
+    traces = []
     stage_iters = []
     outer = 0
     stabilized = False
@@ -826,7 +879,7 @@ def iterative_nesta(
         report = nesta_solve(problem, stage, cfg)
         outer += 1
         total_inner += report.inner_iterations
-        trace.extend(report.objective_trace)
+        traces.append(report.objective_trace)
         stage_iters.extend(report.stage_iterations)
         alpha_hat = problem.coefficients_from_signal(report.estimate)
         new_support = _refine_support(alpha_hat, k, threshold_mode, cutoff_fraction)
@@ -842,7 +895,7 @@ def iterative_nesta(
         final_residual=report.final_residual,
         final_objective=report.final_objective,
         detected_support=support,
-        objective_trace=trace,
+        objective_trace=np.concatenate(traces),
         wall_time=time.perf_counter() - t0,
         converged=stabilized and report.converged,
         stage_iterations=stage_iters,

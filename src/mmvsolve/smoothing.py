@@ -88,7 +88,9 @@ def huber_objective(alpha, mu, aggregator, trusted):
     else:
         values = _huber(np.abs(alpha), mu[:, None, None])
     if trusted is not None:
-        values = values[:, ~trusted]
+        # compress keeps the rows C-contiguous, so that each block is summed
+        # in the order it would be alone
+        values = values.compress(~trusted, axis=1)
     return values.reshape(len(values), -1).sum(axis=1)
 
 

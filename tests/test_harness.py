@@ -142,6 +142,26 @@ def test_sweep_aggregate_recomputable_from_trials(tmp_path):
         assert [r.spec.seed for r in cell] == [100, 101, 102]
 
 
+def test_cell_wall_times_sum_to_the_aggregate(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    write_config(cfg_path, trials=3, **{"grid.k": "2, 3", "solvers": "nesta, smv, iht"})
+    results, aggregates = run_sweep(parse_sweep_config(cfg_path))
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[2:]]
+    cells = {}
+    for row in rows:
+        cells.setdefault((row[0], row[4]), []).append(row)
+    assert len(cells) == 6
+    for (solver, k), cell in cells.items():
+        trials, agg = cell[:-1], cell[-1]
+        assert agg[7] == AGGREGATE_MARKER and len(trials) == 3
+        assert float(agg[12]) == pytest.approx(sum(float(r[12]) for r in trials), rel=1e-12)
+        assert aggregates[(10, int(k), solver)]["total_wall_time"] == float(agg[12])
+        if solver in ("nesta", "smv"):
+            # a batched cell splits its solve time in proportion to iterations
+            per_iteration = [float(r[12]) / int(r[10]) for r in trials]
+            assert per_iteration == pytest.approx([per_iteration[0]] * 3, rel=1e-9)
+
+
 def test_sweep_rerun_identical_except_timing(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     write_config(cfg_path, trials=2, output=str(tmp_path / "a.csv"))

@@ -3,6 +3,7 @@ import pytest
 
 from mmvsolve import (
     FeasibilityProjector,
+    InfeasibleProblemError,
     InvalidArgumentError,
     MeasurementMatrix,
     MmvProblem,
@@ -14,9 +15,10 @@ from mmvsolve import (
     initial_state,
     iterative_nesta,
     nesta_solve,
+    nesta_solve_batch,
     nesta_step,
 )
-from mmvsolve.nesta import REFRESH_EVERY
+from mmvsolve.nesta import REFRESH_EVERY, _Batch, _gather_rows, _step
 
 # hand-fixed instance with exact gram A A^T = 2 I
 A_FIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
@@ -173,23 +175,39 @@ class CountingArray(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
 @pytest.mark.parametrize("matrix_kind", ["row-orthonormal-gaussian", "gaussian"])
-def test_step_makes_two_products_with_phi(matrix_kind):
-    spec = ProblemSpec(n=8, N=16, L=2, k=2, rank=2, matrix_kind=matrix_kind, seed=3)
-    problem = gen_instance(spec).problem
-    problem.phi = problem.phi.view(CountingArray)
-    A = problem.A
-    projector = FeasibilityProjector(
-        problem.phi, problem.B, 0.0, gram_scale=A.row_gram_scale if A.row_orthonormal else None
-    )
+def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
+    problems = [
+        gen_instance(
+            ProblemSpec(n=8, N=16, L=2, k=2, rank=2, matrix_kind=matrix_kind, seed=3 + i)
+        ).problem
+        for i in range(batch_size)
+    ]
+    for problem in problems:
+        problem.phi = problem.phi.view(CountingArray)
+    projectors = [
+        FeasibilityProjector(
+            p.phi, p.B, 0.0, gram_scale=p.A.row_gram_scale if p.A.row_orthonormal else None
+        )
+        for p in problems
+    ]
     sm = SmoothingConfig(mu=0.1)
-    state = initial_state(np.zeros((spec.N, spec.L)))
+    if batch_size == 1:
+        state = initial_state(np.zeros((16, 2)))
+        step = lambda state: nesta_step(state, problems[0], sm, projector=projectors[0])  # noqa: E731
+    else:
+        # the batch stacks the three distinct operators into one array
+        batch, _ = _Batch.of([p.phi for p in problems], projectors, [sm.mu] * batch_size, sm)
+        batch.operators.stack = batch.operators.stack.view(CountingArray)
+        state = initial_state(np.zeros((batch_size, 16, 2)))
+        step = lambda state: _step(state, batch)[0]  # noqa: E731
     for k in range(REFRESH_EVERY + 2):
         CountingArray.products = 0
-        state = nesta_step(state, problem, sm, projector=projector)
+        state = step(state)
         # phi @ grad and one fused phi^T product; at k = 0 (stage start) and
         # at refreshes also phi @ alpha and phi @ grad_accum, and at the
-        # stage start phi @ prox_center
+        # stage start phi @ prox_center; one stacked product serves the batch
         expected = 5 if k == 0 else 4 if k == REFRESH_EVERY else 2
         assert CountingArray.products == expected, k
 
@@ -402,3 +420,80 @@ def test_config_validation():
         NestaConfig(mu_final=0.0)
     with pytest.raises(InvalidArgumentError):
         NestaConfig(epsilon=-0.5)
+
+
+def batch_problems():
+    """Problems of one shape: certified and Gaussian operators, noiseless and
+    noisy radii, two right-hand sides sharing one operator, and zero data."""
+    spec = dict(n=12, N=24, L=3, k=3, rank=3)
+    certified = gen_instance(ProblemSpec(seed=1, **spec)).problem
+    noisy = gen_instance(ProblemSpec(seed=2, noise_sigma=1e-2, **spec)).problem
+    gaussian = gen_instance(
+        ProblemSpec(seed=3, noise_sigma=1e-2, matrix_kind="gaussian", **spec)
+    ).problem
+    gaussian_exact = gen_instance(ProblemSpec(seed=4, matrix_kind="gaussian", **spec)).problem
+    shared = MmvProblem(A=certified.A, B=noisy.B[:, ::-1], epsilon=0.05)
+    zero = MmvProblem(A=certified.A, B=np.zeros((12, 3)), epsilon=0.0)
+    return [certified, noisy, gaussian, shared, gaussian_exact, zero]
+
+
+@pytest.mark.parametrize("known_support", [(), (2, 7)])
+def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support):
+    problems = batch_problems()
+    sm = SmoothingConfig(known_support=SupportSet(known_support))
+    batched = nesta_solve_batch(problems, sm)
+    assert len(batched) == len(problems)
+    for problem, report in zip(problems, batched):
+        alone = nesta_solve(problem, sm)
+        assert np.array_equal(report.estimate, alone.estimate)
+        assert report.stage_iterations == alone.stage_iterations
+        assert np.array_equal(report.objective_trace, alone.objective_trace)
+        assert report.detected_support == alone.detected_support
+        assert report.final_residual == alone.final_residual
+        assert report.converged == alone.converged
+    # the problems stop at different iterations, so the batch shrank
+    assert len({tuple(r.stage_iterations) for r in batched}) > 2
+
+
+def test_batch_records_an_infeasible_problem_and_solves_the_rest():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((12, 24))
+    A[-1] = A[0]  # rank 11: data with a component off the range is infeasible
+    infeasible = MmvProblem(A=A, B=rng.standard_normal((12, 3)), epsilon=0.0)
+    with pytest.raises(InfeasibleProblemError):
+        nesta_solve(infeasible)
+    problems = batch_problems()
+    batched = nesta_solve_batch(problems[:2] + [infeasible] + problems[2:])
+    assert isinstance(batched[2], InfeasibleProblemError)
+    others = batched[:2] + batched[3:]
+    assert not any(isinstance(r, Exception) for r in others)
+    for problem, report in zip(problems, others):
+        alone = nesta_solve(problem)
+        assert np.array_equal(report.estimate, alone.estimate)
+        assert report.stage_iterations == alone.stage_iterations
+        assert np.array_equal(report.objective_trace, alone.objective_trace)
+
+
+def test_batch_wall_time_is_a_share_in_proportion_to_iterations():
+    batched = nesta_solve_batch(batch_problems()[:3])
+    per_iteration = [r.wall_time / r.inner_iterations for r in batched]
+    assert per_iteration == pytest.approx([per_iteration[0]] * 3, rel=1e-9)
+
+
+def test_batch_rejects_problems_of_different_shapes():
+    a = gen_instance(ProblemSpec(n=8, N=16, L=2, k=2, rank=2, seed=0)).problem
+    b = gen_instance(ProblemSpec(n=8, N=16, L=3, k=2, rank=2, seed=0)).problem
+    with pytest.raises(InvalidArgumentError):
+        nesta_solve_batch([a, b])
+
+
+def test_gather_rows_in_place_matches_fancy_indexing():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        size = int(rng.integers(1, 9))
+        rows = [int(r) for r in rng.permutation(size)[: int(rng.integers(1, size + 1))]]
+        stack = rng.standard_normal((size, 2, 3))
+        expected = stack[rows]
+        out = _gather_rows(stack, rows)
+        assert np.shares_memory(out, stack)
+        assert np.array_equal(out, expected)
