@@ -29,6 +29,14 @@ the projected images need no product at all. The tracked images are
 recomputed exactly at each stage start and every REFRESH_EVERY iterations.
 Inputs are validated and the trusted-row mask is built once per stage.
 
+The iteration runs on arrays with a leading problem axis, so problems of
+one shape are solved together (``nesta_solve_batch``): each product with
+phi is one stacked product for the whole batch, the continuation stages
+run in step, and a problem leaves the batch when its own stop test fires.
+Every operation treats each problem as it would alone, so a problem's
+result does not depend on the batch it is in; ``nesta_solve`` and
+``nesta_step`` are the batch of one.
+
 An outer refinement loop alternates full solves with hard-threshold support
 updates: rows the threshold keeps become trusted (unpenalized) in the next
 solve, optionally seeded by MUSIC subspace detection.
@@ -429,6 +437,7 @@ class _Batch:
         self.operators = operators
         self.projectors = projectors
         self.mu = mu
+        self.mu3 = mu[:, None, None]
         self.B = B
         self.eps = np.array([p.eps for p in projectors])
         self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
@@ -458,10 +467,10 @@ class _Batch:
 
         ``points`` (2 x P x N x L) holds each slot's two points and
         ``images`` (2 x P x n x L) their images phi q; both are projected in
-        place. Returns them and (slot, error) for each
-        slot whose projection raised. A point inside its ball gets a zero
-        correction; one product with phi serves every move and is skipped
-        when no point moved. Certified slots take the radial shrink of
+        place. Returns them and (slot, error) for each slot whose projection
+        raised. A point inside its ball gets a zero correction; one product
+        with phi serves every move and is skipped when no point moved.
+        Certified slots take the radial shrink of
         :meth:`FeasibilityProjector.correction` here, vectorized; the others
         call it.
         """
@@ -469,21 +478,21 @@ class _Batch:
         _, P, n, L = r.shape
         # the corrections v of each slot's two points side by side, [v_y | v_z],
         # so that one product with phi moves both
-        V = np.empty((P, n, 2, L))
         if len(self.general) < P:
             flat = r.reshape(2 * P, n * L, 1)
             rho = np.sqrt(np.matmul(flat.transpose(0, 2, 1), flat)).reshape(2, P)
             out = rho > self.eps
             moved = out.any()
             shrink = 1.0 - np.divide(self.eps, rho, out=np.ones_like(rho), where=out)
+            V = np.empty((P, n, 2, L))
             np.multiply((shrink / self.scale)[..., None, None], r, out=V.transpose(2, 0, 1, 3))
             gv = shrink[..., None, None] * r
+            for j in self.general:
+                V[j] = gv[:, j] = 0.0
         else:
-            moved, gv = False, np.zeros_like(r)
-            V.fill(0.0)
+            moved, V, gv = False, np.zeros((P, n, 2, L)), np.zeros_like(r)
         errors = []
         for j in self.general:
-            V[j] = gv[:, j] = 0.0
             try:
                 for i in (0, 1):
                     corr = self.projectors[j].correction(r[i, j])
@@ -520,7 +529,7 @@ def _step(state, batch):
     else:
         phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
 
-    mu = batch.mu[:, None, None]
+    mu = batch.mu3
     aggregator = batch.smoothing.aggregator
     grad = huber_gradient(state.alpha, batch.mu, aggregator, trusted)
     phi_grad = ops.apply(grad)
@@ -552,7 +561,9 @@ def _step(state, batch):
     return new, objective, errors
 
 
-_STACKED_FIELDS = ("alpha", "y", "z", "prox_center", "grad_accum", "phi_alpha", "phi_prox", "phi_accum")
+_STACKED_FIELDS = (
+    "alpha", "y", "z", "prox_center", "grad_accum", "phi_alpha", "phi_prox", "phi_accum"
+)
 
 
 def _map_arrays(state, fn):
@@ -656,16 +667,17 @@ def _run_stage(solves, stage, smoothing, cfg):
         k = state.k
         recent[(k - 1) % width] = recent[(k - 1) % width + width] = objective
         log.append(objective)
-        if k < width and not errors:
-            continue
-        leaving = np.zeros(len(active), dtype=bool)
         if k >= width:
-            # oldest first and summed in order, as the test of one problem
+            # summed oldest first, in the order one problem's test sums it
             window = recent[k % width : k % width + width]
             level = np.abs(np.add.accumulate(window)[-1] / width)
             top = np.maximum.reduce(window)
             spread = top - np.minimum.reduce(window)
             leaving = (spread <= cfg.stop_tol * np.maximum(level, 1e-30)) | (top <= floor)
+        elif errors:
+            leaving = np.zeros(len(active), dtype=bool)
+        else:
+            continue
         for j, exc in errors:
             leaving[j] = True
             active[j].error = exc
