@@ -195,13 +195,19 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
     sm = SmoothingConfig(mu=0.1)
     if batch_size == 1:
         state = initial_state(np.zeros((16, 2)))
-        step = lambda state: nesta_step(state, problems[0], sm, projector=projectors[0])  # noqa: E731
+
+        def step(state):
+            return nesta_step(state, problems[0], sm, projector=projectors[0])
+
     else:
         # the batch stacks the three distinct operators into one array
         batch, _ = _Batch.of([p.phi for p in problems], projectors, [sm.mu] * batch_size, sm)
         batch.operators.stack = batch.operators.stack.view(CountingArray)
         state = initial_state(np.zeros((batch_size, 16, 2)))
-        step = lambda state: _step(state, batch)[0]  # noqa: E731
+
+        def step(state):
+            return _step(state, batch)[0]
+
     for k in range(REFRESH_EVERY + 2):
         CountingArray.products = 0
         state = step(state)
