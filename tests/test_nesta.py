@@ -175,8 +175,15 @@ class CountingArray(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-@pytest.mark.parametrize("batch_size", [1, 3])
-@pytest.mark.parametrize("matrix_kind", ["row-orthonormal-gaussian", "gaussian"])
+@pytest.mark.parametrize(
+    "matrix_kind, batch_size",
+    [
+        pytest.param("row-orthonormal-gaussian", 1, id="row-orthonormal-gaussian"),
+        pytest.param("gaussian", 1, id="gaussian"),
+        pytest.param("row-orthonormal-gaussian", 3, id="row-orthonormal-gaussian-batch3"),
+        pytest.param("gaussian", 3, id="gaussian-batch3"),
+    ],
+)
 def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
     problems = [
         gen_instance(
