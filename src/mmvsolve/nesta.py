@@ -34,8 +34,9 @@ one shape are solved together (``nesta_solve_batch``): each product with
 phi is one stacked product for the whole batch, the continuation stages
 run in step, and a problem leaves the batch when its own stop test fires.
 Every operation treats each problem as it would alone, so a problem's
-result does not depend on the batch it is in; ``nesta_solve`` and
-``nesta_step`` are the batch of one.
+result does not depend on the batch it is in. ``nesta_step`` is the step
+on a batch of one; a stage that one problem runs alone (every stage of
+``nesta_solve``) takes one call of it per iteration.
 
 An outer refinement loop alternates full solves with hard-threshold support
 updates: rows the threshold keeps become trusted (unpenalized) in the next
@@ -47,6 +48,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -325,36 +328,6 @@ def initial_state(alpha0):
     )
 
 
-def _gather_rows(stack, rows):
-    """Write stack[rows] over stack[:len(rows)] in place (rows distinct) and
-    return that prefix, so that shrinking a batch allocates no second stack."""
-    m = len(rows)
-    done = [False] * m
-    read = set(rows)
-    # a row that no move reads is written first; each write frees the row it
-    # read, which is written next
-    for d in range(m):
-        if d in read:
-            continue
-        while d < m and not done[d]:
-            stack[d] = stack[rows[d]]
-            done[d] = True
-            d = rows[d]
-    # what is left are cycles: each is broken with one spare row
-    for first in range(m):
-        if done[first] or rows[first] == first:
-            continue
-        spare = stack[first].copy()
-        d = first
-        while rows[d] != first:
-            stack[d] = stack[rows[d]]
-            done[d] = True
-            d = rows[d]
-        stack[d] = spare
-        done[d] = True
-    return stack[:m]
-
-
 class _Operators:
     """The operator phi of every slot of a batch, each distinct one stored once.
 
@@ -364,37 +337,30 @@ class _Operators:
     j-th slot of every operator that has more than j, operators in
     decreasing order of slot count, so each layer multiplies a prefix of
     the stack and phi is never copied per slot. ``order`` lists the input
-    slots in the new slot order. A stack of several operators is the
-    batch's own copy, which :meth:`take` reorders in place; a single
-    operator is used as it is and never written.
+    slots in the new slot order.
     """
 
-    def __init__(self, stack, groups):
-        members = {}
-        for pos, group in enumerate(groups):
-            members.setdefault(group, []).append(pos)
-        ranked = sorted(members.values(), key=len, reverse=True)
-        self.layers = [sum(len(m) > j for m in ranked) for j in range(len(ranked[0]))]
-        self.order = [m[j] for j, size in enumerate(self.layers) for m in ranked[:size]]
-        self.rows = [i for size in self.layers for i in range(size)]
-        rows = [groups[m[0]] for m in ranked]
-        identity = rows == list(range(len(rows)))
-        self.stack = stack[: len(rows)] if identity else _gather_rows(stack, rows)
+    def __init__(self, stack, layers, order):
+        self.stack = stack
+        self.layers = layers
+        self.order = order
         # one stacked product serves every slot: one slot per operator, or
         # one operator broadcast over every slot
-        self.flat = len(self.stack) == 1 or len(self.layers) == 1
+        self.flat = len(stack) == 1 or len(layers) == 1
 
     @classmethod
     def of(cls, phis):
-        distinct = {}
-        groups = [distinct.setdefault(id(phi), (len(distinct), phi))[0] for phi in phis]
-        stack = [phi for _, phi in distinct.values()]
-        return cls(stack[0][None] if len(stack) == 1 else np.stack(stack), groups)
-
-    def take(self, slots):
-        """The operators of the given slots, laid out anew in this stack,
-        which is left to the new operators."""
-        return _Operators(self.stack, [self.rows[j] for j in slots])
+        """The operators of slots with the given phis; slots share an
+        operator when their phis are the same array."""
+        members = {}
+        for pos, phi in enumerate(phis):
+            members.setdefault(id(phi), []).append(pos)
+        ranked = sorted(members.values(), key=len, reverse=True)
+        layers = [sum(len(m) > j for m in ranked) for j in range(len(ranked[0]))]
+        order = [m[j] for j, size in enumerate(layers) for m in ranked[:size]]
+        distinct = [phis[m[0]] for m in ranked]
+        stack = distinct[0][None] if len(distinct) == 1 else np.stack(distinct)
+        return cls(stack, layers, order)
 
     def apply(self, X):
         """phi @ X for every slot of X (P x N x L)."""
@@ -430,19 +396,27 @@ class _Batch:
 
     Every argument is in slot order; :meth:`of` builds a batch from
     parallel lists in any order. The projectors supply each slot's data,
-    radius and projection path.
+    radius and projection path. Certified slots take the radial shrink
+    vectorized when there are several of them; every other slot, the
+    ``looped`` ones, calls its projector's correction.
     """
 
     def __init__(self, operators, projectors, mu, B, smoothing):
         self.operators = operators
         self.projectors = projectors
         self.mu = mu
-        self.mu3 = mu[:, None, None]
+        # each slot's mu shaped to broadcast over the stacks; one slot's is a
+        # plain float, which numpy applies faster
+        self.mu3 = mu[:, None, None] if len(mu) > 1 else float(mu[0])
         self.B = B
-        self.eps = np.array([p.eps for p in projectors])
-        self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
-        self.general = [j for j, p in enumerate(projectors) if p.gram_scale is None]
         self.smoothing = smoothing
+        self.shrunk = sum(p.gram_scale is not None for p in projectors) > 1
+        self.looped = [
+            j for j, p in enumerate(projectors) if p.gram_scale is None or not self.shrunk
+        ]
+        if self.shrunk:
+            self.eps = np.array([p.eps for p in projectors])
+            self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
 
     @classmethod
     def of(cls, phis, projectors, mus, smoothing):
@@ -454,60 +428,58 @@ class _Batch:
         B = np.stack([p.B for p in projectors])
         return cls(operators, projectors, mu, B, smoothing), order
 
-    def take(self, slots):
-        """The batch of the given slots and, per new slot, the old slot it holds."""
-        operators = self.operators.take(slots)
-        taken = np.asarray(slots)[operators.order]
-        projectors = [self.projectors[j] for j in taken]
-        batch = _Batch(operators, projectors, self.mu[taken], self.B[taken], self.smoothing)
-        return batch, taken
+    @classmethod
+    def one(cls, phi, projector, mu, smoothing):
+        """The batch of a single problem."""
+        operators = _Operators(phi[None], [1], [0])
+        return cls(operators, [projector], np.array([mu]), projector.B[None], smoothing)
 
     def project(self, points, images):
-        """Project the two points of every slot onto the slot's ball.
+        """Project the two points of every slot onto the slot's ball, in place.
 
-        ``points`` (2 x P x N x L) holds each slot's two points and
-        ``images`` (2 x P x n x L) their images phi q; both are projected in
-        place. Returns them and (slot, error) for each slot whose projection
-        raised. A point inside its ball gets a zero correction; one product
-        with phi serves every move and is skipped when no point moved.
-        Certified slots take the radial shrink of
-        :meth:`FeasibilityProjector.correction` here, vectorized; the others
-        call it.
+        ``points`` holds the stacks of y and z points (P x N x L each) and
+        ``images`` their images phi q (P x n x L). Returns (slot, error) for
+        each slot whose projection raised. A point inside its ball gets a
+        zero correction; one product with phi serves every move and is
+        skipped when no point moved. The vectorized shrink is
+        :meth:`FeasibilityProjector.correction`'s, operation for operation.
         """
-        r = images - self.B
-        _, P, n, L = r.shape
         # the corrections v of each slot's two points side by side, [v_y | v_z],
         # so that one product with phi moves both
-        if len(self.general) < P:
-            flat = r.reshape(2 * P, n * L, 1)
-            rho = np.sqrt(np.matmul(flat.transpose(0, 2, 1), flat)).reshape(2, P)
+        P, n, L = images[0].shape
+        V = np.zeros((P, n, 2, L))
+        moved = False
+        if self.shrunk:
+            r = np.stack(images) - self.B
+            flat = r.reshape(2 * P, 1, n * L)
+            rho = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))).reshape(2, P)
             out = rho > self.eps
+            out[:, self.looped] = False
             moved = out.any()
             shrink = 1.0 - np.divide(self.eps, rho, out=np.ones_like(rho), where=out)
-            V = np.empty((P, n, 2, L))
             np.multiply((shrink / self.scale)[..., None, None], r, out=V.transpose(2, 0, 1, 3))
-            gv = shrink[..., None, None] * r
-            for j in self.general:
-                V[j] = gv[:, j] = 0.0
+            for image, gv in zip(images, shrink[..., None, None] * r):
+                image -= gv
         else:
-            moved, V, gv = False, np.zeros((P, n, 2, L)), np.zeros_like(r)
+            r = [image - self.B for image in images]
         errors = []
-        for j in self.general:
+        for j in self.looped:
             try:
-                for i in (0, 1):
-                    corr = self.projectors[j].correction(r[i, j])
-                    if corr is not None:
-                        V[j, :, i], gv[i, j] = corr
-                        moved = True
+                corrs = [self.projectors[j].correction(r[i][j]) for i in (0, 1)]
             except SOLVER_ERRORS as exc:
                 errors.append((j, exc))
-        if not moved:
-            return points, images, errors
-        back = self.operators.apply_left(V.reshape(P, n, 2 * L).transpose(0, 2, 1))
-        N = back.shape[2]
-        points -= back.reshape(P, 2, L, N).transpose(1, 0, 3, 2)
-        images -= gv
-        return points, images, errors
+                continue
+            for i, corr in enumerate(corrs):
+                if corr is not None:
+                    V[j, :, i] = corr[0]
+                    image = images[i][j]
+                    image -= corr[1]
+                    moved = True
+        if moved:
+            back = self.operators.apply_left(V.reshape(P, n, 2 * L).transpose(0, 2, 1))
+            for i, point in enumerate(points):
+                point -= back[:, i * L : (i + 1) * L].transpose(0, 2, 1)
+        return errors
 
 
 def _step(state, batch):
@@ -531,20 +503,16 @@ def _step(state, batch):
 
     mu = batch.mu3
     aggregator = batch.smoothing.aggregator
-    grad = huber_gradient(state.alpha, batch.mu, aggregator, trusted)
+    grad = huber_gradient(state.alpha, mu, aggregator, trusted)
     phi_grad = ops.apply(grad)
     weight = 0.5 * (k + 1)
     grad_accum = state.grad_accum + weight * grad
     phi_accum = phi_accum + weight * phi_grad
-    points = np.empty((2,) + grad.shape)
-    np.subtract(state.alpha, mu * grad, out=points[0])
-    np.subtract(state.prox_center, mu * grad_accum, out=points[1])
-    images = np.empty((2,) + phi_grad.shape)
-    np.subtract(phi_alpha, mu * phi_grad, out=images[0])
-    np.subtract(phi_prox, mu * phi_accum, out=images[1])
-    (y, z), (phi_y, phi_z), errors = batch.project(points, images)
+    y, z = state.alpha - mu * grad, state.prox_center - mu * grad_accum
+    phi_y, phi_z = phi_alpha - mu * phi_grad, phi_prox - mu * phi_accum
+    errors = batch.project((y, z), (phi_y, phi_z))
     tau = 2.0 / (k + 3)
-    objective = huber_objective(y, batch.mu, aggregator, trusted)
+    objective = huber_objective(y, mu, aggregator, trusted)
     new = NestaState(
         k=k + 1,
         alpha=tau * z + (1.0 - tau) * y,
@@ -561,15 +529,14 @@ def _step(state, batch):
     return new, objective, errors
 
 
-_STACKED_FIELDS = (
-    "alpha", "y", "z", "prox_center", "grad_accum", "phi_alpha", "phi_prox", "phi_accum"
-)
-
-
 def _map_arrays(state, fn):
-    """The state with ``fn`` applied to each of its (possibly unset) arrays."""
-    arrays = {f: getattr(state, f) for f in _STACKED_FIELDS}
-    return replace(state, **{f: None if a is None else fn(a) for f, a in arrays.items()})
+    """The state with ``fn`` applied to each of its arrays that is set."""
+    arrays = [
+        None if a is None else fn(a)
+        for a in (state.alpha, state.y, state.z, state.prox_center, state.grad_accum)
+        + (state.phi_alpha, state.phi_prox, state.phi_accum)
+    ]
+    return NestaState(state.k, *arrays[:5], state.objective_trace, *arrays[5:], state.trusted)
 
 
 def nesta_step(state, problem, smoothing, cfg=None, projector=None):
@@ -586,13 +553,14 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None):
     of a stage validates the iterate, builds the trusted-row mask and
     computes the tracked images exactly; every REFRESH_EVERY iterations
     the drifting ones are recomputed. This is the batched step of
-    :func:`nesta_solve_batch` run on a batch of one.
+    :func:`nesta_solve_batch` run on a batch of one; a stage that a solve
+    runs alone takes one call of it per iteration.
     """
     if projector is None:
         projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
-    batch, _ = _Batch.of([problem.phi], [projector], [smoothing.mu], smoothing)
+    batch = _Batch.one(problem.phi, projector, smoothing.mu, smoothing)
     new, objective, errors = _step(_map_arrays(state, lambda a: a[None]), batch)
     if errors:
         raise errors[0][1]
@@ -645,12 +613,13 @@ def _run_stage(solves, stage, smoothing, cfg):
     exactly as often as it would alone. A solve whose projection raises
     leaves with the error recorded.
     """
-    batch, order = _Batch.of(
-        [s.problem.phi for s in solves],
-        [s.projector for s in solves],
-        [s.schedule[stage] for s in solves],
-        smoothing,
-    )
+
+    def batch_of(active):
+        phis = [s.problem.phi for s in active]
+        mus = [s.schedule[stage] for s in active]
+        return _Batch.of(phis, [s.projector for s in active], mus, smoothing)
+
+    batch, order = batch_of(solves)
     active = [solves[i] for i in order]
     ids = np.asarray(order)  # position in ``solves`` of each slot
     state = initial_state(np.stack([s.x for s in active]))
@@ -693,7 +662,11 @@ def _run_stage(solves, stage, smoothing, cfg):
         keep = np.flatnonzero(~leaving)
         if not keep.size:
             break
-        batch, taken = batch.take(keep)
+        # rebuilt from the problems' operators once the old batch is gone, so
+        # that two operator stacks are never alive at once
+        batch = None
+        batch, order = batch_of([active[j] for j in keep])
+        taken = keep[order]
         active = [active[j] for j in taken]
         ids = ids[taken]
         state.y = state.z = None
@@ -719,6 +692,33 @@ def _run_stage(solves, stage, smoothing, cfg):
         before += len(block)
     for solve, piece in zip(solves, np.split(values, starts[1:])):
         solve.trace = np.concatenate([solve.trace, piece])
+
+
+def _run_stage_alone(solve, stage, smoothing, cfg):
+    """Run continuation stage ``stage`` of one solve: :func:`_run_stage` on a
+    batch of one, with one :func:`nesta_step` per iteration and the stop
+    test on Python floats, summed in the same order."""
+    sm = replace(smoothing, mu=solve.schedule[stage])
+    state = initial_state(solve.x)
+    trace, width = state.objective_trace, cfg.stop_window
+    converged = False
+    try:
+        for _ in range(cfg.max_inner_iters):
+            state = nesta_step(state, solve.problem, sm, cfg, solve.projector)
+            if len(trace) >= width:
+                window = trace[-width:]
+                top = max(window)
+                level = abs(reduce(add, window) / width)
+                if top - min(window) <= cfg.stop_tol * max(level, 1e-30) or top <= solve.floor:
+                    converged = True
+                    break
+    except SOLVER_ERRORS as exc:
+        solve.error = exc
+        return
+    solve.x = state.y
+    solve.stage_iterations.append(state.k)
+    solve.converged = solve.converged and converged
+    solve.trace = np.concatenate([solve.trace, trace])
 
 
 def _zero_data_report(problem, eps):
@@ -797,7 +797,9 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
             solves[i] = started
     for stage in range(max((len(s.schedule) for s in solves.values()), default=0)):
         running = [s for s in solves.values() if s.error is None and stage < len(s.schedule)]
-        if running:
+        if len(running) == 1:
+            _run_stage_alone(running[0], stage, smoothing, cfg)
+        elif running:
             _run_stage(running, stage, smoothing, cfg)
     for i, solve in solves.items():
         results[i] = solve.error if solve.error is not None else _report(solve)

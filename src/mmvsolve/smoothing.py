@@ -18,8 +18,8 @@ uses directly as its step-size constant.
 kernels behind them, ``huber_objective`` and ``huber_gradient``, do not: a
 solver validates once and passes the trusted-row mask it built with
 ``trusted_rows``. The kernels work on a stack of problems, a leading axis
-of P coefficient blocks with one mu each, and treat every block exactly as
-they would treat it alone.
+of P coefficient blocks with one mu each (a P x 1 x 1 array, or a float
+shared by all), and treat every block exactly as they would treat it alone.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _huber(t, mu):
 
 
 def _row_l2(alpha):
-    return np.sqrt((alpha * alpha).sum(axis=-1))
+    return np.sqrt((alpha * alpha).sum(axis=-1, keepdims=True))
 
 
 def trusted_rows(support, n_rows):
@@ -81,12 +81,10 @@ def trusted_rows(support, n_rows):
 
 def huber_objective(alpha, mu, aggregator, trusted):
     """Kernel of :func:`smoothed_objective` over a stack: the objective of
-    each block of ``alpha`` (P x N x L) at its ``mu`` (length P), as a
-    length-P array. No validation; ``trusted`` from :func:`trusted_rows`."""
-    if aggregator == AGGREGATOR_ROW_L2:
-        values = _huber(_row_l2(alpha), mu[:, None])
-    else:
-        values = _huber(np.abs(alpha), mu[:, None, None])
+    each block of ``alpha`` (P x N x L) at its mu, as a length-P array. No
+    validation; ``trusted`` from :func:`trusted_rows`."""
+    t = _row_l2(alpha) if aggregator == AGGREGATOR_ROW_L2 else np.abs(alpha)
+    values = _huber(t, mu)
     if trusted is not None:
         # compress keeps the rows C-contiguous, so that each block is summed
         # in the order it would be alone
@@ -96,14 +94,12 @@ def huber_objective(alpha, mu, aggregator, trusted):
 
 def huber_gradient(alpha, mu, aggregator, trusted):
     """Kernel of :func:`smoothed_gradient` over a stack: ``alpha`` is
-    P x N x L, ``mu`` has length P. No validation; ``trusted`` from
-    :func:`trusted_rows`."""
+    P x N x L. No validation; ``trusted`` from :func:`trusted_rows`."""
     if aggregator == AGGREGATOR_ROW_L2:
         t = _row_l2(alpha)
-        m = mu[:, None]
-        grad = alpha / np.where(t >= m, t, m)[..., None]
+        grad = alpha / np.where(t >= mu, t, mu)
     else:
-        grad = np.clip(alpha / mu[:, None, None], -1.0, 1.0)
+        grad = np.clip(alpha / mu, -1.0, 1.0)
     if trusted is not None:
         grad[:, trusted] = 0.0
     return grad
@@ -118,7 +114,7 @@ def smoothed_objective(alpha, cfg):
     """
     alpha = as_matrix(alpha, "coefficients")
     trusted = trusted_rows(cfg.known_support, alpha.shape[0])
-    return float(huber_objective(alpha[None], np.array([cfg.mu]), cfg.aggregator, trusted)[0])
+    return float(huber_objective(alpha[None], cfg.mu, cfg.aggregator, trusted)[0])
 
 
 def smoothed_gradient(alpha, cfg):
@@ -131,4 +127,4 @@ def smoothed_gradient(alpha, cfg):
     """
     alpha = as_matrix(alpha, "coefficients")
     trusted = trusted_rows(cfg.known_support, alpha.shape[0])
-    return huber_gradient(alpha[None], np.array([cfg.mu]), cfg.aggregator, trusted)[0]
+    return huber_gradient(alpha[None], cfg.mu, cfg.aggregator, trusted)[0]

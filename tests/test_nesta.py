@@ -18,7 +18,7 @@ from mmvsolve import (
     nesta_solve_batch,
     nesta_step,
 )
-from mmvsolve.nesta import REFRESH_EVERY, _Batch, _gather_rows, _step
+from mmvsolve.nesta import REFRESH_EVERY, _Batch, _step
 
 # hand-fixed instance with exact gram A A^T = 2 I
 A_FIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
@@ -498,15 +498,3 @@ def test_batch_rejects_problems_of_different_shapes():
     b = gen_instance(ProblemSpec(n=8, N=16, L=3, k=2, rank=2, seed=0)).problem
     with pytest.raises(InvalidArgumentError):
         nesta_solve_batch([a, b])
-
-
-def test_gather_rows_in_place_matches_fancy_indexing():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        size = int(rng.integers(1, 9))
-        rows = [int(r) for r in rng.permutation(size)[: int(rng.integers(1, size + 1))]]
-        stack = rng.standard_normal((size, 2, 3))
-        expected = stack[rows]
-        out = _gather_rows(stack, rows)
-        assert np.shares_memory(out, stack)
-        assert np.array_equal(out, expected)
