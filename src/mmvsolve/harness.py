@@ -3,16 +3,17 @@
 A trial generates a seeded instance, runs one solver, and scores the
 estimate against the known ground truth. Sweeps iterate a grid over k
 and/or n, run a fixed number of trials per cell with seeds
-base_seed + trial_index (so every solver in a cell sees identical
+base_seed + trial_index (every solver in a cell gets the same generated
 instances), and write one CSV row per trial plus an aggregate row per
 (cell, solver). Everything except wall time is deterministic.
 
-The ``nesta`` and ``smv`` solvers take all of a cell's instances in one
-batched solve (for ``smv``, the L column problems of every trial). A
-batched trial's ``wall_time_s`` is its share of the cell's measured solve
-time, split in proportion to inner iterations, so a cell's rows sum to the
-time the cell took. A single trial (:func:`run_trial`) and the trials of
-``iht`` and ``iterative-nesta`` cells record their own elapsed solve time.
+Every solver gets a cell's instances in one call of :func:`solve_problems`.
+``nesta`` and ``smv`` solve them as one batch (for ``smv``, the L column
+problems of every trial), and a trial's ``wall_time_s`` is its share of
+the cell's measured solve time, split in proportion to inner iterations,
+so a cell's rows sum to the time the cell took. ``iht`` and
+``iterative-nesta`` solve one instance after another and record each
+solve's own elapsed time, as does a single trial (:func:`run_trial`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .nesta import (
     RecoveryReport,
     detected_support,
     iterative_nesta,
-    nesta_solve,  # noqa: F401  (a binding of this module that benchmark tracing rebinds)
+    # not called here; the benchmark's tracing test reads harness.nesta_solve
+    nesta_solve,  # noqa: F401
     nesta_solve_batch,
 )
 from .synth import ProblemSpec, gen_instance
@@ -38,8 +40,6 @@ SOLVER_ITERATIVE_NESTA = "iterative-nesta"
 SOLVER_IHT = "iht"
 SOLVER_SMV = "smv"
 SOLVERS = (SOLVER_NESTA, SOLVER_ITERATIVE_NESTA, SOLVER_IHT, SOLVER_SMV)
-# Solvers that take a sweep cell's instances as one batch.
-BATCHED_SOLVERS = (SOLVER_NESTA, SOLVER_SMV)
 
 RESULT_HEADER = (
     "solver,n,N,L,k,rank,noise_sigma,seed,relative_error,support_exact,"
@@ -205,9 +205,9 @@ def run_trial(
     return _trial_result(spec, solver, instance, report, wall, success_threshold)
 
 
-def _batched_cell(specs, instances, solver, success_threshold):
-    """The trial results of a batched solver on one cell's instances; each
-    trial's wall time is its share of the cell's solve time."""
+def _cell_results(specs, instances, solver, success_threshold):
+    """The trial results of one solver on a cell's instances; each trial's
+    wall time is its report's (a share of the batch for batched solvers)."""
     reports = solve_problems(solver, [inst.problem for inst in instances], specs[0].k)
     return [
         _trial_result(
@@ -309,7 +309,7 @@ def run_sweep(sweep):
     (n, k, solver) to a dict with success_rate and medians. The output file
     records the success threshold in a comment line above the header; rerun
     with identical config, the file is byte-identical except wall times.
-    The batched solvers of a cell share its generated instances.
+    The solvers of a cell share its generated instances.
     """
     fh = open(sweep.output, "w")
     try:
@@ -323,17 +323,9 @@ def run_sweep(sweep):
                     replace(sweep.base, n=n, k=k, seed=sweep.base.seed + t)
                     for t in range(sweep.trials)
                 ]
-                instances = None
+                instances = [gen_instance(spec) for spec in specs]
                 for solver in sweep.solvers:
-                    if solver in BATCHED_SOLVERS:
-                        if instances is None:
-                            instances = [gen_instance(spec) for spec in specs]
-                        cell = _batched_cell(specs, instances, solver, sweep.success_threshold)
-                    else:
-                        cell = [
-                            run_trial(spec, solver, success_threshold=sweep.success_threshold)
-                            for spec in specs
-                        ]
+                    cell = _cell_results(specs, instances, solver, sweep.success_threshold)
                     fh.writelines(_trial_row(result) + "\n" for result in cell)
                     agg = _aggregate(cell)
                     aggregates[(n, k, solver)] = agg
@@ -365,23 +357,13 @@ def _trial_row(r):
     return ",".join(_fmt(v) for v in fields)
 
 
-def _median(values):
-    """np.median of the values, NaN if any is NaN, without the numpy.ma
-    import that np.median makes for that check (about 2 MB resident)."""
-    x = np.sort(np.asarray(values, dtype=float))
-    if np.isnan(x[-1]):
-        return float("nan")
-    mid = len(x) // 2
-    return float(x[mid]) if len(x) % 2 else float((x[mid - 1] + x[mid]) / 2)
-
-
 def _aggregate(cell):
     return {
         "success_rate": float(np.mean([r.success for r in cell])),
         "support_exact_rate": float(np.mean([r.support_exact for r in cell])),
-        "median_relative_error": _median([r.relative_error for r in cell]),
-        "median_inner_iters": _median([r.inner_iterations for r in cell]),
-        "median_outer_iters": _median([r.outer_iterations for r in cell]),
+        "median_relative_error": float(np.median([r.relative_error for r in cell])),
+        "median_inner_iters": float(np.median([r.inner_iterations for r in cell])),
+        "median_outer_iters": float(np.median([r.outer_iterations for r in cell])),
         "total_wall_time": float(np.sum([r.wall_time for r in cell])),
     }
 
