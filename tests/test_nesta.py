@@ -487,6 +487,24 @@ def test_batch_records_an_infeasible_problem_and_solves_the_rest():
         assert np.array_equal(report.objective_trace, alone.objective_trace)
 
 
+def test_a_lone_solve_takes_one_nesta_step_per_iteration(monkeypatch):
+    from mmvsolve import nesta
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nesta_step(*args, **kwargs)
+
+    monkeypatch.setattr(nesta, "nesta_step", counted)
+    problem = batch_problems()[0]
+    report = nesta_solve(problem)
+    assert len(calls) == report.inner_iterations > 0
+    calls.clear()
+    nesta_solve_batch(batch_problems()[:2])  # both run every stage together
+    assert calls == []
+
+
 def test_batch_wall_time_is_a_share_in_proportion_to_iterations():
     batched = nesta_solve_batch(batch_problems()[:3])
     per_iteration = [r.wall_time / r.inner_iterations for r in batched]
