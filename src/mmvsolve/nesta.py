@@ -331,13 +331,12 @@ def initial_state(alpha0):
 class _Operators:
     """The operator phi of every slot of a batch, each distinct one stored once.
 
-    ``stack`` holds the distinct operators and ``groups`` gives the stack
-    row of each input slot. Slots that share an operator (the column
-    problems of one ``smv`` trial) are put in layers: layer j holds the
-    j-th slot of every operator that has more than j, operators in
-    decreasing order of slot count, so each layer multiplies a prefix of
-    the stack and phi is never copied per slot. ``order`` lists the input
-    slots in the new slot order.
+    ``stack`` holds the distinct operators in decreasing order of slot
+    count. Slots that share an operator (the column problems of one ``smv``
+    trial) are put in layers: layer j holds the j-th slot of every operator
+    that has more than j, so each layer multiplies a prefix of the stack
+    and phi is never copied per slot. ``order`` lists the input slots in
+    the new slot order.
     """
 
     def __init__(self, stack, layers, order):
@@ -404,10 +403,9 @@ class _Batch:
     def __init__(self, operators, projectors, mu, B, smoothing):
         self.operators = operators
         self.projectors = projectors
-        self.mu = mu
         # each slot's mu shaped to broadcast over the stacks; one slot's is a
         # plain float, which numpy applies faster
-        self.mu3 = mu[:, None, None] if len(mu) > 1 else float(mu[0])
+        self.mu = mu[:, None, None] if len(mu) > 1 else float(mu[0])
         self.B = B
         self.smoothing = smoothing
         self.shrunk = sum(p.gram_scale is not None for p in projectors) > 1
@@ -501,7 +499,7 @@ def _step(state, batch):
     else:
         phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
 
-    mu = batch.mu3
+    mu = batch.mu
     aggregator = batch.smoothing.aggregator
     grad = huber_gradient(state.alpha, mu, aggregator, trusted)
     phi_grad = ops.apply(grad)
@@ -702,19 +700,19 @@ def _run_stage_alone(solve, stage, smoothing, cfg):
     state = initial_state(solve.x)
     trace, width = state.objective_trace, cfg.stop_window
     converged = False
-    try:
-        for _ in range(cfg.max_inner_iters):
+    for _ in range(cfg.max_inner_iters):
+        try:
             state = nesta_step(state, solve.problem, sm, cfg, solve.projector)
-            if len(trace) >= width:
-                window = trace[-width:]
-                top = max(window)
-                level = abs(reduce(add, window) / width)
-                if top - min(window) <= cfg.stop_tol * max(level, 1e-30) or top <= solve.floor:
-                    converged = True
-                    break
-    except SOLVER_ERRORS as exc:
-        solve.error = exc
-        return
+        except SOLVER_ERRORS as exc:
+            solve.error = exc
+            return
+        if len(trace) >= width:
+            window = trace[-width:]
+            top = max(window)
+            level = abs(reduce(add, window) / width)
+            if top - min(window) <= cfg.stop_tol * max(level, 1e-30) or top <= solve.floor:
+                converged = True
+                break
     solve.x = state.y
     solve.stage_iterations.append(state.k)
     solve.converged = solve.converged and converged
