@@ -448,7 +448,8 @@ class _Batch:
         V = np.zeros((P, n, 2, L))
         moved = False
         if self.shrunk:
-            r = np.stack(images) - self.B
+            r = np.stack(images)
+            r -= self.B
             flat = r.reshape(2 * P, 1, n * L)
             rho = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))).reshape(2, P)
             out = rho > self.eps
@@ -484,8 +485,10 @@ def _step(state, batch):
     """One iteration of every slot of ``batch``; the state's arrays are stacks.
 
     Returns the new state, the objective at each slot's new y and the
-    (slot, error) pairs of projections that raised. :func:`nesta_step` and
-    the stages of :func:`nesta_solve_batch` both run on this step.
+    (slot, error) pairs of projections that raised. The given state is
+    used up: its iterate, gradient sum and their images are cleared.
+    :func:`nesta_step` and the stages of :func:`nesta_solve_batch` both
+    run on this step.
     """
     ops = batch.operators
     k = state.k
@@ -501,13 +504,18 @@ def _step(state, batch):
 
     mu = batch.mu
     aggregator = batch.smoothing.aggregator
-    grad = huber_gradient(state.alpha, mu, aggregator, trusted)
+    alpha, grad_accum = state.alpha, state.grad_accum
+    # each array of the old iterate is let go once used, before the
+    # projection makes its own
+    state.alpha = state.grad_accum = state.phi_alpha = state.phi_accum = None
+    grad = huber_gradient(alpha, mu, aggregator, trusted)
     phi_grad = ops.apply(grad)
     weight = 0.5 * (k + 1)
-    grad_accum = state.grad_accum + weight * grad
+    grad_accum = grad_accum + weight * grad
     phi_accum = phi_accum + weight * phi_grad
-    y, z = state.alpha - mu * grad, state.prox_center - mu * grad_accum
+    y, z = alpha - mu * grad, state.prox_center - mu * grad_accum
     phi_y, phi_z = phi_alpha - mu * phi_grad, phi_prox - mu * phi_accum
+    del alpha, grad, phi_alpha, phi_grad
     errors = batch.project((y, z), (phi_y, phi_z))
     tau = 2.0 / (k + 3)
     objective = huber_objective(y, mu, aggregator, trusted)
