@@ -61,7 +61,7 @@ class SupportSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple([int(i) for i in self.indices])
         if any(i < 0 for i in idx):
             raise InvalidArgumentError("support indices must be nonnegative")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -269,7 +269,7 @@ def hard_threshold_rows(X, k):
     keep = np.sort(order[:k])
     out = np.zeros_like(X)
     out[keep] = X[keep]
-    return out, SupportSet(tuple(int(i) for i in keep))
+    return out, SupportSet(tuple(keep.tolist()))
 
 
 def row_support(X, tol=0.0):
@@ -277,7 +277,7 @@ def row_support(X, tol=0.0):
     if tol < 0:
         raise InvalidArgumentError("tol must be nonnegative")
     norms = row_norms(X, 2)
-    return SupportSet(tuple(int(i) for i in np.flatnonzero(norms > tol)))
+    return SupportSet(tuple(np.flatnonzero(norms > tol).tolist()))
 
 
 def _numerical_rank(M, rank_tol):
