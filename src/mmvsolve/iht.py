@@ -21,6 +21,7 @@ gradient row outgrows the kept rows, so no step leaves it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,8 +40,10 @@ class IhtConfig:
     """Target row sparsity, step size, and stopping rule.
 
     ``step`` is the gradient step length (left None it becomes
-    0.98 / ||phi||_2^2). ``stop_tol`` bounds the relative iterate change
-    ||alpha' - alpha||_F / max(1, ||alpha||_F) at which iteration stops.
+    0.98 / ||phi||_2^2, with ||phi||_2 = sqrt(c) exactly when phi phi^T = c I
+    is certified and a power-iteration estimate otherwise). ``stop_tol``
+    bounds the relative iterate change ||alpha' - alpha||_F / max(1, ||alpha||_F)
+    at which iteration stops.
     """
 
     k: int
@@ -142,7 +145,8 @@ def iht_solve(problem, cfg):
         raise InvalidArgumentError(
             f"k must satisfy 1 <= k < N = {problem.N}, got {cfg.k}"
         )
-    op_norm = spectral_norm(phi)
+    A = problem.A
+    op_norm = math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(phi)
     if op_norm == 0.0:
         raise InvalidArgumentError("measurement operator is zero")
     if cfg.adaptive_step:

@@ -19,15 +19,25 @@ each stage from the previous stage's y and re-anchoring the prox center
 there; without that reset the z-step drags toward a stale anchor and the
 later stages stall.
 
-An iteration makes two products with phi. The state carries the images
-phi alpha_k, phi alpha_0 and phi sum_i (i+1)/2 grad f(alpha_i), so one
-forward product phi grad f(alpha_k) gives the images of both points to
+An iteration makes two products with the operator. The state carries the
+images phi alpha_k, phi alpha_0 and phi sum_i (i+1)/2 grad f(alpha_i), so
+one forward product phi grad f(alpha_k) gives the images of both points to
 project by linearity. The projector turns each residual outside the ball
 into a correction (v, G v) with G = phi phi^T, moving q to q - phi^T v and
 its image to phi q - G v; one fused phi^T product serves both points, and
 the projected images need no product at all. The tracked images are
 recomputed exactly at each stage start and every REFRESH_EVERY iterations.
 Inputs are validated and the trusted-row mask is built once per stage.
+
+All of this runs in the projector's basis of the data space. For a
+certified operator (phi phi^T = c I) that is the given basis. Otherwise it
+is the eigenbasis V of G = V diag(d) V^T, taken once per distinct operator:
+the data is rotated once to V^T B and the operator to V^T phi, which
+leaves the ball unchanged because V is orthogonal, and there the Gram
+matrix is diag(d), so the projection is elementwise. The step then makes
+its two products with V^T phi and none with V; V is used only to rotate
+in and out in the projector's original-coordinate methods, and the
+report's residual is computed with phi and B themselves.
 
 The iteration runs on arrays with a leading problem axis, so problems of
 one shape are solved together (``nesta_solve_batch``): each product with
@@ -127,9 +137,10 @@ class NestaState:
     """One solver iterate: counter, points, gradient history, trace.
 
     The last four fields belong to the running stage and are filled by its
-    first :func:`nesta_step`: the images ``phi @ alpha``, ``phi @ prox_center``
-    and ``phi @ grad_accum``, tracked by linearity, and the trusted-row mask
-    of the stage's smoothing config (None when no row is trusted).
+    first :func:`nesta_step`: the images of ``alpha``, ``prox_center`` and
+    ``grad_accum`` under the projector's ``operator`` (phi in the
+    projector's basis), tracked by linearity, and the trusted-row mask of
+    the stage's smoothing config (None when no row is trusted).
     """
 
     k: int
@@ -166,6 +177,25 @@ class RecoveryReport:
     stage_iterations: list = field(default_factory=list)
 
 
+class _Eigenbasis:
+    """G = phi phi^T = V diag(d) V^T, taken once per operator, and phi in V's basis.
+
+    ``operator`` is V^T phi; in its basis the Gram matrix is diag(d). ``live``
+    marks the eigenvalues above 1e-12 of the largest, ``inverse`` is the
+    pseudo-inverse of diag(d) on them. Projectors of one phi share one basis.
+    """
+
+    def __init__(self, phi):
+        evals, self.V = np.linalg.eigh(phi @ phi.T)
+        self.d = d = np.maximum(evals, 0.0)
+        top = d.max()
+        self.live = d > 1e-12 * top if top > 0 else np.zeros_like(d, bool)
+        self.null = ~self.live
+        self.d_live = d[self.live]
+        self.inverse = np.where(self.live, 1.0 / np.where(self.live, d, 1.0), 0.0)
+        self.operator = self.V.T @ phi
+
+
 class FeasibilityProjector:
     """Euclidean projection onto {alpha : ||phi alpha - B||_F <= eps}.
 
@@ -174,24 +204,35 @@ class FeasibilityProjector:
     image is phi q - G v with G = phi phi^T; :meth:`correction` gives the
     pair (v, G v) from r alone, so a caller that tracks phi q by linearity
     gets the projected image without another product with phi.
-    :func:`nesta_step` does so, and recomputes its tracked images exactly
-    every REFRESH_EVERY iterations to drop the rounding drift.
 
-    With a certified phi phi^T = c I the projection is the closed-form radial
-    shrink v = (1 - eps/||r||) r / c, G v = c v. Otherwise a single symmetric
-    eigendecomposition G = V diag(d) V^T is taken here and reused by every
-    call; v = V diag(lam / (1 + lam d)) V^T r, where the Lagrange multiplier
-    lam solves the secular equation psi(lam) = eps^2 with
-    psi(lam) = sum_i w_i / (1 + lam d_i)^2 and w = squared row norms of V^T r.
+    The projector works in a basis of the data space: ``operator`` and
+    ``data`` are phi and B written in it, and :meth:`basis_correction` is
+    :meth:`correction` for a residual ``operator @ q - data``, in that basis.
+    :func:`nesta_step` iterates there, tracking its images under
+    ``operator`` and recomputing them exactly every REFRESH_EVERY iterations
+    to drop the rounding drift.
+
+    With a certified phi phi^T = c I the basis is the given one and the
+    projection is the closed-form radial shrink v = (1 - eps/||r||) r / c,
+    G v = c v. Otherwise a single symmetric eigendecomposition
+    G = V diag(d) V^T is taken here (or shared through ``basis`` by the
+    projectors of one phi), and the basis is V's: ``operator`` = V^T phi and
+    ``data`` = V^T B. The rotation is orthogonal, so it leaves the ball
+    unchanged, and the Gram matrix there is diag(d): with rt = V^T r,
+    V^T v = diag(lam / (1 + lam d)) rt, elementwise, where the Lagrange
+    multiplier lam solves the secular equation psi(lam) = eps^2 with
+    psi(lam) = sum_i w_i / (1 + lam d_i)^2 and w = squared row norms of rt.
     Newton's method runs on the equivalent 1/sqrt(psi(lam)) - 1/eps = 0,
     which is nearly linear in lam (Moré & Sorensen's form of the
     trust-region secular equation); from lam = 0 it takes 2-3 steps on the
-    solver's projections, where Newton on psi itself needs 21-45.
+    solver's projections, where Newton on psi itself needs 21-45. V itself
+    is used only by the original-coordinate methods (:meth:`correction`,
+    :meth:`project_images`, ``__call__``), to rotate in and out.
     ``newton_steps`` and ``newton_cap_hits`` count the steps taken and the
     solves stopped at MULTIPLIER_MAX_STEPS without meeting the tolerance.
     """
 
-    def __init__(self, phi, B, eps, gram_scale=None):
+    def __init__(self, phi, B, eps, gram_scale=None, basis=None):
         self.phi = phi
         self.B = B
         self.eps = float(eps)
@@ -201,16 +242,18 @@ class FeasibilityProjector:
         self.newton_steps = 0
         self.newton_cap_hits = 0
         if gram_scale is None:
-            gram = phi @ phi.T
-            evals, evecs = np.linalg.eigh(gram)
-            evals = np.maximum(evals, 0.0)
-            self._evals = evals
-            self._evecs = evecs
-            top = evals.max()
-            self._live = evals > 1e-12 * top if top > 0 else np.zeros_like(evals, bool)
+            self.basis = _Eigenbasis(phi) if basis is None else basis
+            self.operator = self.basis.operator
+            self.data = self.basis.V.T @ B
+        else:
+            self.basis = None
+            self.operator, self.data = phi, B
 
-    def residual_norm(self, q):
-        return float(np.linalg.norm(self.phi @ q - self.B))
+    def _rotate_in(self, r):
+        return r if self.basis is None else self.basis.V.T @ r
+
+    def _rotate_out(self, x):
+        return x if self.basis is None else self.basis.V @ x
 
     def __call__(self, q):
         (out,), _ = self.project_images([q], [self.phi @ q])
@@ -219,20 +262,21 @@ class FeasibilityProjector:
     def project_images(self, points, images):
         """Project points whose images ``phi @ q`` are given; returns both lists.
 
-        Every point that moves shares one product with phi^T; feasible points
-        and their images come back unchanged (same arrays).
+        Every point that moves shares one product with the operator;
+        feasible points and their images come back unchanged (same arrays).
         """
         points, images = list(points), list(images)
         moved, vs = [], []
         for i, image in enumerate(images):
-            corr = self.correction(image - self.B)
+            corr = self.basis_correction(self._rotate_in(image - self.B))
             if corr is not None:
                 moved.append(i)
                 vs.append(corr[0])
-                images[i] = image - corr[1]
+                images[i] = image - self._rotate_out(corr[1])
         if moved:
-            # (v^T phi)^T: one GEMM over all moved points, no copy of phi^T
-            back = (np.concatenate(vs, axis=1).T @ self.phi).T
+            # phi^T v = operator^T (V^T v) as (v^T operator)^T: one GEMM over
+            # all moved points, no copy of the operator's transpose
+            back = (np.concatenate(vs, axis=1).T @ self.operator).T
             width = back.shape[1] // len(moved)
             for j, i in enumerate(moved):
                 points[i] = points[i] - back[:, j * width : (j + 1) * width]
@@ -240,24 +284,29 @@ class FeasibilityProjector:
 
     def correction(self, r):
         """(v, G v) moving a point with residual r onto the ball; None if inside."""
-        flat = r.ravel()
+        corr = self.basis_correction(self._rotate_in(r))
+        return corr if corr is None else tuple(self._rotate_out(x) for x in corr)
+
+    def basis_correction(self, rt):
+        """:meth:`correction` of a residual given in the projector's basis,
+        returned in that basis; no product with V."""
+        flat = rt.ravel()
         rho = math.sqrt(flat.dot(flat))
         if rho <= self.eps:
             return None
         if self.gram_scale is not None:
             shrink = 1.0 - self.eps / rho
-            return (shrink / self.gram_scale) * r, shrink * r
-        return self._correction_general(r)
+            return (shrink / self.gram_scale) * rt, shrink * rt
+        coeff = self._coefficients((rt * rt).sum(axis=1))
+        return coeff[:, None] * rt, (self.basis.d * coeff)[:, None] * rt
 
     # -- general-operator path -----------------------------------------
 
-    def _correction_general(self, r):
-        rt = self._evecs.T @ r
-        w = (rt * rt).sum(axis=1)
-        d = self._evals
-        live = self._live
-        w_null = float(w[~live].sum())
-        attainable = np.sqrt(w_null)
+    def _coefficients(self, w):
+        """The diagonal of V^T v = diag(coeff) rt, from the squared row norms w of rt."""
+        basis = self.basis
+        w_null = float(w[basis.null].sum())
+        attainable = math.sqrt(w_null)
 
         if self.eps == 0.0:
             if attainable > 1e-9 * max(1.0, float(np.linalg.norm(self.B))):
@@ -265,44 +314,50 @@ class FeasibilityProjector:
                     "exact consistency demanded but the data has components "
                     "outside the range of the operator"
                 )
-            coeff = np.where(live, 1.0 / np.where(live, d, 1.0), 0.0)
-        elif attainable >= self.eps:
+            return basis.inverse
+        if attainable >= self.eps:
             if attainable > self.eps * (1.0 + 1e-9):
                 raise InfeasibleProblemError(
                     f"feasible set is empty: best attainable residual "
                     f"{attainable:g} exceeds eps = {self.eps:g}"
                 )
             # boundary case: land on the residual-minimizing affine set
-            coeff = np.where(live, 1.0 / np.where(live, d, 1.0), 0.0)
-        else:
-            lam = self._solve_multiplier(w[live], d[live], w_null)
-            coeff = lam / (1.0 + lam * d)
-        v = self._evecs @ (coeff[:, None] * rt)
-        gv = self._evecs @ ((d * coeff)[:, None] * rt)
-        return v, gv
+            return basis.inverse
+        lam = self._solve_multiplier(w[basis.live], basis.d_live, w_null)
+        return lam / (1.0 + lam * basis.d)
 
     def _solve_multiplier(self, w, d, w_null):
-        lam = 0.0
+        wd = w * d
+        lam, den = 0.0, None  # at the start every 1 + lam d_i is exactly 1
         for _ in range(MULTIPLIER_MAX_STEPS):
-            den = 1.0 + lam * d
-            psi = float((w / den**2).sum()) + w_null
+            psi = float((w if den is None else w / den**2).sum()) + w_null
             root = math.sqrt(psi)
             if abs(root - self.eps) <= 1e-13 * max(1.0, self.eps):
                 return lam
             # Newton on f(lam) = psi^(-1/2) - 1/eps, f' = -psi' / (2 psi^(3/2))
-            dpsi = -2.0 * float((w * d / den**3).sum())
+            dpsi = -2.0 * float((wd if den is None else wd / den**3).sum())
             lam = max(0.0, lam + 2.0 * psi * (1.0 - root / self.eps) / dpsi)
+            den = 1.0 + lam * d
             self.newton_steps += 1
         self.newton_cap_hits += 1
         return lam
 
 
-def _build_projector(problem, epsilon=None):
-    """The projector onto the problem's ball, closed form when phi is certified."""
+def _build_projector(problem, epsilon=None, bases=None):
+    """The projector onto the problem's ball, closed form when phi is certified.
+
+    ``bases`` maps id(phi) to the eigenbasis of each uncertified operator
+    already factored; problems that share one phi array share its entry.
+    """
     eps = problem.epsilon if epsilon is None else epsilon
-    A = problem.A
-    scale = A.row_gram_scale if A.row_orthonormal else None
-    return FeasibilityProjector(problem.phi, problem.B, eps, gram_scale=scale)
+    A, phi = problem.A, problem.phi
+    if A.row_orthonormal:
+        return FeasibilityProjector(phi, problem.B, eps, gram_scale=A.row_gram_scale)
+    bases = {} if bases is None else bases
+    basis = bases.get(id(phi))
+    if basis is None:
+        basis = bases[id(phi)] = _Eigenbasis(phi)
+    return FeasibilityProjector(phi, problem.B, eps, basis=basis)
 
 
 def project_feasible(q, problem, epsilon=None):
@@ -329,13 +384,14 @@ def initial_state(alpha0):
 
 
 class _Operators:
-    """The operator phi of every slot of a batch, each distinct one stored once.
+    """The operator of every slot of a batch (phi in the slot projector's
+    basis), each distinct one stored once.
 
     ``stack`` holds the distinct operators in decreasing order of slot
     count. Slots that share an operator (the column problems of one ``smv``
     trial) are put in layers: layer j holds the j-th slot of every operator
     that has more than j, so each layer multiplies a prefix of the stack
-    and phi is never copied per slot. ``order`` lists the input slots in
+    and no operator is copied per slot. ``order`` lists the input slots in
     the new slot order.
     """
 
@@ -394,19 +450,22 @@ class _Batch:
     """Problems that iterate together, stacked along a leading axis.
 
     Every argument is in slot order; :meth:`of` builds a batch from
-    parallel lists in any order. The projectors supply each slot's data,
-    radius and projection path. Certified slots take the radial shrink
-    vectorized when there are several of them; every other slot, the
-    ``looped`` ones, calls its projector's correction.
+    parallel lists in any order. The projectors supply each slot's
+    operator, data, radius and projection path, all in the projector's
+    basis: phi and B for a certified slot, V^T phi and V^T B for an
+    uncertified one, so the images and residuals the step tracks are in
+    that basis too. Certified slots take the radial shrink vectorized when
+    there are several of them; every other slot, the ``looped`` ones, calls
+    its projector's :meth:`~FeasibilityProjector.basis_correction`.
     """
 
-    def __init__(self, operators, projectors, mu, B, smoothing):
+    def __init__(self, operators, projectors, mu, data, smoothing):
         self.operators = operators
         self.projectors = projectors
         # each slot's mu shaped to broadcast over the stacks; one slot's is a
         # plain float, which numpy applies faster
         self.mu = mu[:, None, None] if len(mu) > 1 else float(mu[0])
-        self.B = B
+        self.data = data
         self.smoothing = smoothing
         self.shrunk = sum(p.gram_scale is not None for p in projectors) > 1
         self.looped = [
@@ -417,39 +476,40 @@ class _Batch:
             self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
 
     @classmethod
-    def of(cls, phis, projectors, mus, smoothing):
+    def of(cls, projectors, mus, smoothing):
         """The batch of the given problems and, per slot, its input position."""
-        operators = _Operators.of(phis)
+        operators = _Operators.of([p.operator for p in projectors])
         order = operators.order
         projectors = [projectors[i] for i in order]
         mu = np.array([mus[i] for i in order], dtype=float)
-        B = np.stack([p.B for p in projectors])
-        return cls(operators, projectors, mu, B, smoothing), order
+        data = np.stack([p.data for p in projectors])
+        return cls(operators, projectors, mu, data, smoothing), order
 
     @classmethod
-    def one(cls, phi, projector, mu, smoothing):
+    def one(cls, projector, mu, smoothing):
         """The batch of a single problem."""
-        operators = _Operators(phi[None], [1], [0])
-        return cls(operators, [projector], np.array([mu]), projector.B[None], smoothing)
+        operators = _Operators(projector.operator[None], [1], [0])
+        return cls(operators, [projector], np.array([mu]), projector.data[None], smoothing)
 
     def project(self, points, images):
         """Project the two points of every slot onto the slot's ball, in place.
 
         ``points`` holds the stacks of y and z points (P x N x L each) and
-        ``images`` their images phi q (P x n x L). Returns (slot, error) for
-        each slot whose projection raised. A point inside its ball gets a
-        zero correction; one product with phi serves every move and is
-        skipped when no point moved. The vectorized shrink is
-        :meth:`FeasibilityProjector.correction`'s, operation for operation.
+        ``images`` their images under each slot's operator (P x n x L).
+        Returns (slot, error) for each slot whose projection raised. A point
+        inside its ball gets a zero correction; one product with the
+        operators serves every move and is skipped when no point moved. The
+        vectorized shrink is :meth:`FeasibilityProjector.basis_correction`'s,
+        operation for operation.
         """
         # the corrections v of each slot's two points side by side, [v_y | v_z],
-        # so that one product with phi moves both
+        # so that one product with the operator moves both
         P, n, L = images[0].shape
         V = np.zeros((P, n, 2, L))
         moved = False
         if self.shrunk:
             r = np.stack(images)
-            r -= self.B
+            r -= self.data
             flat = r.reshape(2 * P, 1, n * L)
             rho = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))).reshape(2, P)
             out = rho > self.eps
@@ -460,11 +520,11 @@ class _Batch:
             for image, gv in zip(images, shrink[..., None, None] * r):
                 image -= gv
         else:
-            r = [image - self.B for image in images]
+            r = [image - self.data for image in images]
         errors = []
         for j in self.looped:
             try:
-                corrs = [self.projectors[j].correction(r[i][j]) for i in (0, 1)]
+                corrs = [self.projectors[j].basis_correction(r[i][j]) for i in (0, 1)]
             except SOLVER_ERRORS as exc:
                 errors.append((j, exc))
                 continue
@@ -545,7 +605,7 @@ def _map_arrays(state, fn):
     return NestaState(state.k, *arrays[:5], state.objective_trace, *arrays[5:], state.trusted)
 
 
-def nesta_step(state, problem, smoothing, cfg=None, projector=None):
+def nesta_step(state, problem, smoothing, cfg=None, projector=None, batch=None):
     """Advance the solver by one iteration; returns the new state.
 
     Weights follow the accelerated scheme exactly: history weight
@@ -553,20 +613,24 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None):
     objective at the new y is appended to the trace (a list shared
     with the input state).
 
-    The step makes two products with phi: ``phi @ grad``, from which the
+    The step makes two products with the projector's operator (phi, or
+    V^T phi for an uncertified phi): ``operator @ grad``, from which the
     images of both points to project follow by linearity, and one fused
-    ``phi^T`` product for the points that leave the ball. The first step
-    of a stage validates the iterate, builds the trusted-row mask and
-    computes the tracked images exactly; every REFRESH_EVERY iterations
-    the drifting ones are recomputed. This is the batched step of
-    :func:`nesta_solve_batch` run on a batch of one; a stage that a solve
-    runs alone takes one call of it per iteration.
+    ``operator^T`` product for the points that leave the ball; none with
+    V. The first step of a stage validates the iterate, builds the
+    trusted-row mask and computes the tracked images exactly; every
+    REFRESH_EVERY iterations the drifting ones are recomputed. This is the
+    batched step of :func:`nesta_solve_batch` run on a batch of one
+    (``batch``, the projector's ``_Batch.one`` at ``smoothing.mu``, which
+    a stage builds once and passes to each of its steps); a stage that a
+    solve runs alone takes one call of it per iteration.
     """
-    if projector is None:
-        projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
+    if batch is None:
+        if projector is None:
+            projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
+        batch = _Batch.one(projector, smoothing.mu, smoothing)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
-    batch = _Batch.one(problem.phi, projector, smoothing.mu, smoothing)
     new, objective, errors = _step(_map_arrays(state, lambda a: a[None]), batch)
     if errors:
         raise errors[0][1]
@@ -589,9 +653,10 @@ class _Solve:
     error: Exception | None = None
 
 
-def _start(problem, smoothing, cfg):
+def _start(problem, smoothing, cfg, bases):
     """A :class:`_Solve` at the projected back-projection of the data, or
-    the final report when the data is zero."""
+    the final report when the data is zero; ``bases`` as in
+    :func:`_build_projector`."""
     eps = problem.epsilon if cfg.epsilon is None else cfg.epsilon
     smoothing.known_support.validate_for(problem.N)
     corr = problem.phi.T @ problem.B
@@ -605,7 +670,7 @@ def _start(problem, smoothing, cfg):
     else:
         ratio = (mu_final / mu0) ** (1.0 / cfg.continuation_stages)
         schedule = [mu0 * ratio ** (i + 1) for i in range(cfg.continuation_stages)]
-    projector = _build_projector(problem, eps)
+    projector = _build_projector(problem, eps, bases)
     return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
 
@@ -621,9 +686,8 @@ def _run_stage(solves, stage, smoothing, cfg):
     """
 
     def batch_of(active):
-        phis = [s.problem.phi for s in active]
         mus = [s.schedule[stage] for s in active]
-        return _Batch.of(phis, [s.projector for s in active], mus, smoothing)
+        return _Batch.of([s.projector for s in active], mus, smoothing)
 
     batch, order = batch_of(solves)
     active = [solves[i] for i in order]
@@ -702,15 +766,16 @@ def _run_stage(solves, stage, smoothing, cfg):
 
 def _run_stage_alone(solve, stage, smoothing, cfg):
     """Run continuation stage ``stage`` of one solve: :func:`_run_stage` on a
-    batch of one, with one :func:`nesta_step` per iteration and the stop
-    test on Python floats, summed in the same order."""
+    batch of one, built once, with one :func:`nesta_step` per iteration and
+    the stop test on Python floats, summed in the same order."""
     sm = replace(smoothing, mu=solve.schedule[stage])
+    batch = _Batch.one(solve.projector, sm.mu, sm)
     state = initial_state(solve.x)
     trace, width = state.objective_trace, cfg.stop_window
     converged = False
     for _ in range(cfg.max_inner_iters):
         try:
-            state = nesta_step(state, solve.problem, sm, cfg, solve.projector)
+            state = nesta_step(state, solve.problem, sm, cfg, batch=batch)
         except SOLVER_ERRORS as exc:
             solve.error = exc
             return
@@ -791,9 +856,10 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
         raise InvalidArgumentError("problems solved as one batch must share n, N and L")
     results = [None] * len(problems)
     solves = {}
+    bases = {}  # one eigendecomposition per distinct uncertified operator
     for i, problem in enumerate(problems):
         try:
-            started = _start(problem, smoothing, cfg)
+            started = _start(problem, smoothing, cfg, bases)
         except SOLVER_ERRORS as exc:
             results[i] = exc
             continue

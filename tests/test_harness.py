@@ -12,7 +12,7 @@ from mmvsolve import (
     run_trial,
     solve_smv_per_column,
 )
-from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER
+from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER, solve_smv_batch
 
 
 def small_spec(**kw):
@@ -61,6 +61,34 @@ def test_smv_baseline_stacks_per_column_solves():
         )
         cols.append(nesta_solve(sub).estimate[:, 0])
     assert np.array_equal(joint.estimate, np.column_stack(cols))
+
+
+def test_smv_batch_factors_each_uncertified_operator_once(monkeypatch):
+    # the column problems of a trial share its phi, so they share one
+    # eigendecomposition and one rotated copy of phi in the batch
+    from mmvsolve import nesta
+
+    spec = dict(n=12, N=24, L=3, k=3, rank=3, noise_sigma=1e-2, matrix_kind="gaussian")
+    problems = [gen_instance(ProblemSpec(seed=s, **spec)).problem for s in (1, 2)]
+    factorizations, stacks = [], []
+    eigh, of = np.linalg.eigh, nesta._Operators.of.__func__
+
+    def counted_eigh(a):
+        factorizations.append(a.shape)
+        return eigh(a)
+
+    def recorded_of(cls, operators):
+        result = of(cls, operators)
+        stacks.append(len(result.stack))
+        return result
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(nesta._Operators, "of", classmethod(recorded_of))
+    reports = solve_smv_batch(problems)
+    assert not any(isinstance(r, Exception) for r in reports)
+    assert factorizations == [(12, 12)] * len(problems)
+    assert stacks[0] == len(problems)
+    assert max(stacks) <= len(problems)
 
 
 def test_run_trial_all_solvers():

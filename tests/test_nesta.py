@@ -199,6 +199,10 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
         )
         for p in problems
     ]
+    for projector in projectors:
+        # the step multiplies by phi written in the projector's basis: phi
+        # itself when certified, V^T phi otherwise
+        projector.operator = projector.operator.view(CountingArray)
     sm = SmoothingConfig(mu=0.1)
     if batch_size == 1:
         state = initial_state(np.zeros((16, 2)))
@@ -208,7 +212,7 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
 
     else:
         # the batch stacks the three distinct operators into one array
-        batch, _ = _Batch.of([p.phi for p in problems], projectors, [sm.mu] * batch_size, sm)
+        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, sm)
         batch.operators.stack = batch.operators.stack.view(CountingArray)
         state = initial_state(np.zeros((batch_size, 16, 2)))
 
@@ -223,6 +227,37 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
         # stage start phi @ prox_center; one stacked product serves the batch
         expected = 5 if k == 0 else 4 if k == REFRESH_EVERY else 2
         assert CountingArray.products == expected, k
+
+
+@pytest.mark.parametrize("batch_size", [1, 3], ids=["alone", "batch3"])
+def test_uncertified_step_makes_no_product_with_the_eigenvectors(batch_size):
+    spec = dict(n=8, N=16, L=2, k=2, rank=2, noise_sigma=1e-2, matrix_kind="gaussian")
+    problems = [gen_instance(ProblemSpec(seed=3 + i, **spec)).problem for i in range(batch_size)]
+    projectors = [FeasibilityProjector(p.phi, p.B, p.epsilon) for p in problems]
+    for projector in projectors:
+        projector.basis.V = projector.basis.V.view(CountingArray)
+    sm = SmoothingConfig(mu=0.1)
+    if batch_size == 1:
+        state = initial_state(np.zeros((16, 2)))
+
+        def step(state):
+            return nesta_step(state, problems[0], sm, projector=projectors[0])
+
+    else:
+        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, sm)
+        state = initial_state(np.zeros((batch_size, 16, 2)))
+
+        def step(state):
+            new, _, errors = _step(state, batch)
+            assert not errors
+            return new
+
+    for k in range(REFRESH_EVERY + 2):
+        CountingArray.products = 0
+        state = step(state)
+        assert CountingArray.products == 0, k
+    # the multiplier solves ran, so points left their balls
+    assert all(p.newton_steps > 0 for p in projectors)
 
 
 def test_step_skips_back_projection_when_both_points_are_feasible():
@@ -338,6 +373,32 @@ def test_objective_trace_windowed_decrease():
         assert max(window) - min(window) <= cfg.stop_tol * level
         first = seg[cfg.stop_window - 1]
         assert seg[-1] <= first + cfg.stop_tol * max(first, 1e-30)
+
+
+def row_mixed(problem, seed):
+    """The problem written as (Q phi, Q B), Q a seeded random orthogonal matrix:
+    the same noise ball through another operator."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((problem.n, problem.n)))[0]
+    A = MeasurementMatrix.from_entries(Q @ problem.A.entries)
+    assert not A.row_orthonormal
+    return MmvProblem(A=A, B=Q @ problem.B, epsilon=problem.epsilon)
+
+
+@pytest.mark.parametrize("noise_sigma", [1e-2, 0.0], ids=["noisy", "exact"])
+def test_solve_is_invariant_under_orthogonal_row_mixing(noise_sigma):
+    # the exact case is consistent data on a full-row-rank Gaussian operator
+    spec = ProblemSpec(
+        n=16, N=32, L=3, k=3, rank=3, noise_sigma=noise_sigma, matrix_kind="gaussian", seed=2
+    )
+    problem = gen_instance(spec).problem
+    assert not problem.A.row_orthonormal
+    assert (problem.epsilon > 0) == (noise_sigma > 0)
+    given = nesta_solve(problem)
+    mixed = nesta_solve(row_mixed(problem, 102))
+    assert mixed.stage_iterations == given.stage_iterations
+    assert mixed.detected_support == given.detected_support
+    error = np.linalg.norm(mixed.estimate - given.estimate)
+    assert error <= 1e-10 * np.linalg.norm(given.estimate)
 
 
 def test_known_support_masking_speeds_up_hard_instances():
