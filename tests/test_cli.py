@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mmvsolve import ProblemSpec, gen_instance, write_matrix
 from mmvsolve.cli import main
@@ -44,6 +45,62 @@ def test_solve_spec_file_and_dump(tmp_path, capsys):
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=12))
     rel = np.linalg.norm(est - inst.X_true) / np.linalg.norm(inst.X_true)
     assert rel < 1e-3
+
+
+# ``mmvsolve solve`` output on fixed seeds, wall_time_s removed: the four
+# solvers, a noisy Gaussian spec file and a loaded operator/data pair
+SOLVE_PIN = [
+    "solver=nesta rel_error=8.567744801054063e-05 residual=4.031730240309769e-16 "
+    "support_exact=1 inner_iters=103 outer_iters=1",
+    "solver=iterative-nesta rel_error=1.38815160347228e-16 residual=3.3551543220757213e-16 "
+    "support_exact=1 inner_iters=183 outer_iters=2",
+    "solver=iht rel_error=1.196228098426972e-16 residual=2.0074880843059296e-16 "
+    "support_exact=1 inner_iters=1 outer_iters=1",
+    "solver=smv rel_error=8.495822047747044e-05 residual=5.837338052663317e-16 "
+    "support_exact=1 inner_iters=315 outer_iters=1",
+    "solver=nesta rel_error=0.01479273544025275 residual=0.05388877434122699 "
+    "support_exact=0 inner_iters=171 outer_iters=1",
+    "solver=nesta residual=2.9543440893637213e-16 inner_iters=574 outer_iters=1",
+]
+
+
+def summary_fields(line):
+    """A summary line's key-value pairs without wall_time_s; floats as floats,
+    integers and text as text."""
+    fields = dict(token.split("=", 1) for token in line.split())
+    fields.pop("wall_time_s", None)
+    for key, value in fields.items():
+        if not value.isdigit():
+            try:
+                fields[key] = float(value)
+            except ValueError:
+                pass
+    return fields
+
+
+def test_solve_output_is_pinned(tmp_path, capsys):
+    base = ["solve", "--n", "10", "--N", "20", "--L", "3", "--k", "2", "--seed", "5"]
+    runs = [base + ["--solver", solver] for solver in ("nesta", "iterative-nesta", "iht", "smv")]
+    spec_file = tmp_path / "case.txt"
+    spec_file.write_text(
+        "n = 12\nN = 24\nL = 2\nk = 3\nrank = 2\nnoise_sigma = 0.01\n"
+        "matrix_kind = gaussian\nseed = 21\n"
+    )
+    runs.append(["solve", "--spec", str(spec_file)])
+    inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=3))
+    a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"
+    write_matrix(a_path, inst.problem.A.entries)
+    write_matrix(b_path, inst.problem.B)
+    runs.append(["solve", "--load-matrix", str(a_path), "--load-data", str(b_path)])
+    for args, expected in zip(runs, SOLVE_PIN, strict=True):
+        assert main(args) == 0
+        got, want = summary_fields(capsys.readouterr().out), summary_fields(expected)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
+            else:
+                assert got[key] == value, key
 
 
 def test_solve_missing_dimensions_exits_2(capsys):
