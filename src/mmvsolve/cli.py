@@ -26,13 +26,12 @@ from .harness import (
     SOLVER_SMV,
     SOLVERS,
     parse_sweep_config,
-    read_keyvalue,
     run_sweep,
     solve_problems,
 )
 from .music import music_support
 from .nesta import NestaConfig
-from .synth import MATRIX_KINDS, ProblemSpec, gen_instance
+from .synth import MATRIX_KINDS, ProblemSpec, gen_instance, read_keyvalue
 
 
 def _build_parser():
@@ -78,20 +77,7 @@ def _build_parser():
 
 def _spec_from_args(args):
     if args.spec:
-        fields = read_keyvalue(args.spec)
-        try:
-            return ProblemSpec(
-                n=int(fields["n"]),
-                N=int(fields["N"]),
-                L=int(fields["L"]),
-                k=int(fields["k"]),
-                rank=int(fields["rank"]),
-                noise_sigma=float(fields.get("noise_sigma", 0.0)),
-                matrix_kind=fields.get("matrix_kind", ProblemSpec.matrix_kind),
-                seed=int(fields.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise InvalidArgumentError(f"spec file is missing key {exc}") from exc
+        return ProblemSpec.from_fields(read_keyvalue(args.spec))
     missing = [f for f in ("n", "N", "L", "k") if getattr(args, f) is None]
     if missing:
         raise InvalidArgumentError(

@@ -222,9 +222,6 @@ class MmvProblem:
             return X
         return self.Psi.T @ X
 
-    def residual_norm(self, alpha):
-        return float(np.linalg.norm(self.phi @ alpha - self.B))
-
 
 def row_norms(X, q=2):
     """Per-row l_q norms of a matrix; q must be 1, 2 or inf."""

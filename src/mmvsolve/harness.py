@@ -33,7 +33,7 @@ from .nesta import (
     nesta_solve,  # noqa: F401
     nesta_solve_batch,
 )
-from .synth import ProblemSpec, gen_instance
+from .synth import ProblemSpec, field_value, gen_instance, read_keyvalue
 
 SOLVER_NESTA = "nesta"
 SOLVER_ITERATIVE_NESTA = "iterative-nesta"
@@ -252,46 +252,20 @@ def _parse_int_list(raw):
     return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
 
 
-def read_keyvalue(path):
-    """Parse a flat ``key = value`` text file; '#' starts a comment line."""
-    fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
-            fields[key.strip()] = value.strip()
-    return fields
-
-
 def parse_sweep_config(path):
     """Build a :class:`SweepConfig` from a flat key-value file."""
     fields = read_keyvalue(path)
-    try:
-        base = ProblemSpec(
-            n=int(fields["n"]),
-            N=int(fields["N"]),
-            L=int(fields["L"]),
-            k=int(fields["k"]),
-            rank=int(fields["rank"]),
-            noise_sigma=float(fields.get("noise_sigma", 0.0)),
-            matrix_kind=fields.get("matrix_kind", ProblemSpec.matrix_kind),
-            seed=int(fields.get("seed", 0)),
-        )
-        return SweepConfig(
-            base=base,
-            solvers=tuple(s.strip() for s in fields["solvers"].split(",") if s.strip()),
-            trials=int(fields["trials"]),
-            output=fields["output"],
-            grid_k=_parse_int_list(fields.get("grid.k", "")),
-            grid_n=_parse_int_list(fields.get("grid.n", "")),
-            success_threshold=float(fields.get("success_threshold", 1e-3)),
-        )
-    except KeyError as exc:
-        raise InvalidArgumentError(f"sweep config is missing key {exc}") from exc
+    base = ProblemSpec.from_fields(fields)
+    solvers = field_value(fields, "solvers", str)
+    return SweepConfig(
+        base=base,
+        solvers=tuple(s.strip() for s in solvers.split(",") if s.strip()),
+        trials=field_value(fields, "trials", int),
+        output=field_value(fields, "output", str),
+        grid_k=field_value(fields, "grid.k", _parse_int_list, ()),
+        grid_n=field_value(fields, "grid.n", _parse_int_list, ()),
+        success_threshold=field_value(fields, "success_threshold", float, 1e-3),
+    )
 
 
 def _fmt(value):

@@ -35,9 +35,9 @@ is the eigenbasis V of G = V diag(d) V^T, taken once per distinct operator:
 the data is rotated once to V^T B and the operator to V^T phi, which
 leaves the ball unchanged because V is orthogonal, and there the Gram
 matrix is diag(d), so the projection is elementwise. The step then makes
-its two products with V^T phi and none with V; V is used only to rotate
-in and out in the projector's original-coordinate methods, and the
-report's residual is computed with phi and B themselves.
+its two products with V^T phi and none with V; V only rotates the
+residual of a point the projector is called on, and the report's
+residual is computed with phi and B themselves.
 
 The iteration runs on arrays with a leading problem axis, so problems of
 one shape are solved together (``nesta_solve_batch``): each product with
@@ -201,16 +201,15 @@ class FeasibilityProjector:
 
     Feasible points are returned unchanged (same array). A point q with
     residual r = phi q - B outside the ball moves to q - phi^T v, whose
-    image is phi q - G v with G = phi phi^T; :meth:`correction` gives the
-    pair (v, G v) from r alone, so a caller that tracks phi q by linearity
-    gets the projected image without another product with phi.
+    image is phi q - G v with G = phi phi^T.
 
     The projector works in a basis of the data space: ``operator`` and
-    ``data`` are phi and B written in it, and :meth:`basis_correction` is
-    :meth:`correction` for a residual ``operator @ q - data``, in that basis.
-    :func:`nesta_step` iterates there, tracking its images under
-    ``operator`` and recomputing them exactly every REFRESH_EVERY iterations
-    to drop the rounding drift.
+    ``data`` are phi and B written in it, and :meth:`basis_correction`
+    gives (v, G v) in that basis from the residual ``operator @ q - data``
+    alone, so a caller that tracks its images by linearity gets the
+    projected image without another product. :func:`nesta_step` iterates
+    there, tracking its images under ``operator`` and recomputing them
+    exactly every REFRESH_EVERY iterations to drop the rounding drift.
 
     With a certified phi phi^T = c I the basis is the given one and the
     projection is the closed-form radial shrink v = (1 - eps/||r||) r / c,
@@ -226,8 +225,7 @@ class FeasibilityProjector:
     which is nearly linear in lam (Moré & Sorensen's form of the
     trust-region secular equation); from lam = 0 it takes 2-3 steps on the
     solver's projections, where Newton on psi itself needs 21-45. V itself
-    is used only by the original-coordinate methods (:meth:`correction`,
-    :meth:`project_images`, ``__call__``), to rotate in and out.
+    is used only by ``__call__``, to rotate the residual in.
     ``newton_steps`` and ``newton_cap_hits`` count the steps taken and the
     solves stopped at MULTIPLIER_MAX_STEPS without meeting the tolerance.
     """
@@ -249,47 +247,18 @@ class FeasibilityProjector:
             self.basis = None
             self.operator, self.data = phi, B
 
-    def _rotate_in(self, r):
-        return r if self.basis is None else self.basis.V.T @ r
-
-    def _rotate_out(self, x):
-        return x if self.basis is None else self.basis.V @ x
-
     def __call__(self, q):
-        (out,), _ = self.project_images([q], [self.phi @ q])
-        return out
-
-    def project_images(self, points, images):
-        """Project points whose images ``phi @ q`` are given; returns both lists.
-
-        Every point that moves shares one product with the operator;
-        feasible points and their images come back unchanged (same arrays).
-        """
-        points, images = list(points), list(images)
-        moved, vs = [], []
-        for i, image in enumerate(images):
-            corr = self.basis_correction(self._rotate_in(image - self.B))
-            if corr is not None:
-                moved.append(i)
-                vs.append(corr[0])
-                images[i] = image - self._rotate_out(corr[1])
-        if moved:
-            # phi^T v = operator^T (V^T v) as (v^T operator)^T: one GEMM over
-            # all moved points, no copy of the operator's transpose
-            back = (np.concatenate(vs, axis=1).T @ self.operator).T
-            width = back.shape[1] // len(moved)
-            for j, i in enumerate(moved):
-                points[i] = points[i] - back[:, j * width : (j + 1) * width]
-        return points, images
-
-    def correction(self, r):
-        """(v, G v) moving a point with residual r onto the ball; None if inside."""
-        corr = self.basis_correction(self._rotate_in(r))
-        return corr if corr is None else tuple(self._rotate_out(x) for x in corr)
+        r = self.phi @ q - self.B
+        corr = self.basis_correction(r if self.basis is None else self.basis.V.T @ r)
+        if corr is None:
+            return q
+        # phi^T v = operator^T (V^T v) as (v^T operator)^T, no copy of the
+        # operator's transpose
+        return q - (corr[0].T @ self.operator).T
 
     def basis_correction(self, rt):
-        """:meth:`correction` of a residual given in the projector's basis,
-        returned in that basis; no product with V."""
+        """(v, G v) moving a point with residual ``rt`` onto the ball, None if
+        inside; all in the projector's basis, so no product with V."""
         flat = rt.ravel()
         rho = math.sqrt(flat.dot(flat))
         if rho <= self.eps:
@@ -485,12 +454,6 @@ class _Batch:
         data = np.stack([p.data for p in projectors])
         return cls(operators, projectors, mu, data, smoothing), order
 
-    @classmethod
-    def one(cls, projector, mu, smoothing):
-        """The batch of a single problem."""
-        operators = _Operators(projector.operator[None], [1], [0])
-        return cls(operators, [projector], np.array([mu]), projector.data[None], smoothing)
-
     def project(self, points, images):
         """Project the two points of every slot onto the slot's ball, in place.
 
@@ -621,14 +584,14 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None, batch=None):
     trusted-row mask and computes the tracked images exactly; every
     REFRESH_EVERY iterations the drifting ones are recomputed. This is the
     batched step of :func:`nesta_solve_batch` run on a batch of one
-    (``batch``, the projector's ``_Batch.one`` at ``smoothing.mu``, which
-    a stage builds once and passes to each of its steps); a stage that a
+    (``batch``, the projector's ``_Batch`` at ``smoothing.mu``, which a
+    stage builds once and passes to each of its steps); a stage that a
     solve runs alone takes one call of it per iteration.
     """
     if batch is None:
         if projector is None:
             projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
-        batch = _Batch.one(projector, smoothing.mu, smoothing)
+        batch, _ = _Batch.of([projector], [smoothing.mu], smoothing)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
     new, objective, errors = _step(_map_arrays(state, lambda a: a[None]), batch)
@@ -769,7 +732,7 @@ def _run_stage_alone(solve, stage, smoothing, cfg):
     batch of one, built once, with one :func:`nesta_step` per iteration and
     the stop test on Python floats, summed in the same order."""
     sm = replace(smoothing, mu=solve.schedule[stage])
-    batch = _Batch.one(solve.projector, sm.mu, sm)
+    batch, _ = _Batch.of([solve.projector], [sm.mu], sm)
     state = initial_state(solve.x)
     trace, width = state.objective_trace, cfg.stop_window
     converged = False

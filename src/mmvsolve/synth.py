@@ -174,6 +174,47 @@ class ProblemSpec:
         if not 0 <= int(self.seed) <= _MASK64:
             raise InvalidArgumentError("seed must fit in 64 unsigned bits")
 
+    @classmethod
+    def from_fields(cls, fields):
+        """The spec of a key-value file, as :func:`read_keyvalue` gives it:
+        n, N, L, k and rank are required, the other fields default as here."""
+        sizes = {name: field_value(fields, name, int) for name in ("n", "N", "L", "k", "rank")}
+        return cls(
+            **sizes,
+            noise_sigma=field_value(fields, "noise_sigma", float, cls.noise_sigma),
+            matrix_kind=fields.get("matrix_kind", cls.matrix_kind),
+            seed=field_value(fields, "seed", int, cls.seed),
+        )
+
+
+def read_keyvalue(path):
+    """Parse a flat ``key = value`` text file; '#' starts a comment line."""
+    fields = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
+            fields[key.strip()] = value.strip()
+    return fields
+
+
+def field_value(fields, key, convert, default=None):
+    """``convert(fields[key])``, or ``default`` if the key is absent and a
+    default is given; a missing or malformed value raises
+    InvalidArgumentError naming the key."""
+    if key not in fields:
+        if default is None:
+            raise InvalidArgumentError(f"missing key {key!r}")
+        return default
+    try:
+        return convert(fields[key])
+    except ValueError:
+        raise InvalidArgumentError(f"malformed value {fields[key]!r} for key {key!r}") from None
+
 
 @dataclass(eq=False)
 class GroundTruthInstance:
@@ -243,24 +284,7 @@ def export_instance(instance, prefix):
 
 def import_instance(prefix):
     """Rebuild an exported instance; the matrix certification is recomputed."""
-    fields = {}
-    with open(f"{prefix}_spec.txt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    spec = ProblemSpec(
-        n=int(fields["n"]),
-        N=int(fields["N"]),
-        L=int(fields["L"]),
-        k=int(fields["k"]),
-        rank=int(fields["rank"]),
-        noise_sigma=float(fields.get("noise_sigma", 0.0)),
-        matrix_kind=fields.get("matrix_kind", MATRIX_ROW_ORTHONORMAL),
-        seed=int(fields.get("seed", 0)),
-    )
+    spec = ProblemSpec.from_fields(read_keyvalue(f"{prefix}_spec.txt"))
     A = MeasurementMatrix.from_entries(read_matrix(f"{prefix}_A.csv"))
     X = read_matrix(f"{prefix}_X.csv")
     B = read_matrix(f"{prefix}_B.csv")

@@ -108,6 +108,14 @@ def test_solve_missing_dimensions_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_malformed_spec_value_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "case.txt"
+    spec_file.write_text("n = 10\nN = 20\nL = 3\nk = eight\nrank = 2\n")
+    assert main(["solve", "--spec", str(spec_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'k'" in err
+
+
 def test_solve_loaded_matrices(tmp_path, capsys):
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=3))
     a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"
@@ -187,6 +195,17 @@ def test_sweep_bad_output_exits_4(tmp_path, capsys):
     )
     assert main(["sweep", "--config", str(cfg)]) == 4
     capsys.readouterr()
+
+
+def test_sweep_malformed_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n = 10\nN = 20\nL = 3\nk = 2\nrank = 2\nseed = 0\ntrials = two\n"
+        f"solvers = nesta\noutput = {tmp_path}/res.csv\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'trials'" in err
 
 
 def test_module_entry_point_runs():

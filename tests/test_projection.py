@@ -59,6 +59,7 @@ def test_feasible_point_returned_unchanged():
     proj = FeasibilityProjector(phi, B, eps=1e9)
     q = rng.standard_normal((8, 2))
     assert proj(q) is q
+    assert proj.basis_correction(proj.operator @ q - proj.data) is None
 
 
 def test_exact_affine_projection_with_orthonormal_rows():
@@ -106,32 +107,16 @@ def test_multiplier_cap_hit_is_counted(monkeypatch):
 
 
 def test_correction_gives_the_projected_image():
-    # q - phi^T v is the projection and phi q - G v its image, for both paths
+    # in the projector's basis, q - operator^T v is the projection and G v
+    # the change of its image, for both paths
     for orthonormal, seed in ((True, 70), (False, 80)):
         for phi, B, eps, q in random_cases(6, seed, orthonormal):
             scale = 1.0 if orthonormal else None
             proj = FeasibilityProjector(phi, B, eps, gram_scale=scale)
-            v, gv = proj.correction(phi @ q - B)
-            assert np.abs((q - phi.T @ v) - proj(q)).max() <= 1e-12
-            assert np.abs(gv - phi @ (phi.T @ v)).max() <= 1e-12
-            far = 3.0 * q
-            (p1, p2), (i1, i2) = proj.project_images([q, far], [phi @ q, phi @ far])
-            assert np.abs(p1 - proj(q)).max() <= 1e-12
-            assert np.abs(p2 - proj(far)).max() <= 1e-12
-            assert np.abs(i1 - phi @ p1).max() <= 1e-12
-            assert np.abs(i2 - phi @ p2).max() <= 1e-12
-
-
-def test_project_images_leaves_feasible_points_alone():
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((3, 8))
-    B = rng.standard_normal((3, 2))
-    proj = FeasibilityProjector(phi, B, eps=1e9)
-    q = rng.standard_normal((8, 2))
-    image = phi @ q
-    assert proj.correction(image - B) is None
-    (out,), (out_image,) = proj.project_images([q], [image])
-    assert out is q and out_image is image
+            for point in (q, 3.0 * q):
+                vt, gvt = proj.basis_correction(proj.operator @ point - proj.data)
+                assert np.abs((point - (vt.T @ proj.operator).T) - proj(point)).max() <= 1e-12
+                assert np.abs(gvt - proj.operator @ (proj.operator.T @ vt)).max() <= 1e-12
 
 
 def test_projection_optimality_against_sampled_feasible_points():

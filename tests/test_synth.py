@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -262,3 +263,17 @@ def test_export_import_round_trip(tmp_path):
     assert back.support_true == inst.support_true
     assert back.problem.epsilon == inst.problem.epsilon
     assert back.problem.A.row_orthonormal  # certification recomputed on load
+
+
+def test_import_rejects_a_malformed_spec_file(tmp_path):
+    inst = gen_instance(ProblemSpec(n=9, N=18, L=3, k=3, rank=2, seed=55))
+    prefix = str(tmp_path / "case")
+    export_instance(inst, prefix)
+    spec_path = tmp_path / "case_spec.txt"
+    lines = spec_path.read_text().splitlines()
+    spec_path.write_text("\n".join(line for line in lines if not line.startswith("rank")))
+    with pytest.raises(InvalidArgumentError, match="'rank'"):
+        import_instance(prefix)
+    spec_path.write_text("\n".join(lines[:2] + ["L 3"] + lines[3:]))
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{spec_path}:3:")):
+        import_instance(prefix)
