@@ -6,6 +6,7 @@ from mmvsolve import (
     InfeasibleProblemError,
     MeasurementMatrix,
     MmvProblem,
+    SmoothingConfig,
     project_feasible,
 )
 from mmvsolve import nesta
@@ -117,6 +118,24 @@ def test_correction_gives_the_projected_image():
                 vt, gvt = proj.basis_correction(proj.operator @ point - proj.data)
                 assert np.abs((point - (vt.T @ proj.operator).T) - proj(point)).max() <= 1e-12
                 assert np.abs(gvt - proj.operator @ (proj.operator.T @ vt)).max() <= 1e-12
+
+
+def test_project_images_leaves_feasible_points_alone():
+    # a batch projection moves neither a feasible point nor its tracked image
+    rng = np.random.default_rng(2)
+    phi = rng.standard_normal((3, 8))
+    B = rng.standard_normal((3, 2))
+    proj = FeasibilityProjector(phi, B, eps=1e9)
+    q = rng.standard_normal((8, 2))
+    image = proj.operator @ q
+    assert proj.basis_correction(image - proj.data) is None
+    batch, _ = nesta._Batch.of([proj], [0.1], SmoothingConfig(mu=0.1))
+    points = [q[None].copy(), q[None].copy()]
+    images = [image[None].copy(), image[None].copy()]
+    assert batch.project(points, images) == []
+    for point, point_image in zip(points, images):
+        assert np.array_equal(point[0], q)
+        assert np.array_equal(point_image[0], image)
 
 
 def test_projection_optimality_against_sampled_feasible_points():
