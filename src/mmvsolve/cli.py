@@ -29,7 +29,7 @@ from .harness import (
     run_sweep,
     solve_problems,
 )
-from .music import music_support
+from .music import MUSIC_DELTA, music_support
 from .nesta import NestaConfig
 from .synth import MATRIX_KINDS, ProblemSpec, gen_instance, read_keyvalue
 
@@ -71,7 +71,7 @@ def _build_parser():
     music_cmd.add_argument("--matrix", required=True)
     music_cmd.add_argument("--data", required=True)
     music_cmd.add_argument("--k", type=int, required=True)
-    music_cmd.add_argument("--delta", type=float, default=1e-8)
+    music_cmd.add_argument("--delta", type=float, default=MUSIC_DELTA)
     return parser
 
 

@@ -13,12 +13,12 @@ problems of every trial), and a trial's ``wall_time_s`` is its share of
 the cell's measured solve time, split in proportion to inner iterations,
 so a cell's rows sum to the time the cell took. ``iht`` and
 ``iterative-nesta`` solve one instance after another and record each
-solve's own elapsed time, as does a single trial (:func:`run_trial`).
+solve's own elapsed time. A single trial (:func:`run_trial`) is a cell of
+one trial.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +48,10 @@ RESULT_HEADER = (
 
 # Marker in the seed column of per-cell aggregate rows.
 AGGREGATE_MARKER = "agg"
+
+# Relative error below which a trial counts as a success, unless a sweep
+# config sets its own.
+SUCCESS_THRESHOLD = 1e-3
 
 
 @dataclass(eq=False)
@@ -94,14 +98,14 @@ def _stacked_columns(problem, reports):
     )
 
 
-def solve_smv_batch(problems, smoothing=None, cfg=None):
+def solve_smv_batch(problems, cfg=None):
     """Per-channel baseline on every problem, all columns solved as one batch.
 
     Returns one report (or error) per problem, as :func:`solve_smv_per_column`
     would give it; ``wall_time`` is the problem's share of the batch.
     """
     columns = [_column_problems(p) for p in problems]
-    reports = nesta_solve_batch([c for cols in columns for c in cols], smoothing, cfg)
+    reports = nesta_solve_batch([c for cols in columns for c in cols], cfg=cfg)
     stacked = []
     for problem, cols in zip(problems, columns):
         stacked.append(_stacked_columns(problem, reports[: len(cols)]))
@@ -109,7 +113,7 @@ def solve_smv_batch(problems, smoothing=None, cfg=None):
     return stacked
 
 
-def solve_smv_per_column(problem, smoothing=None, cfg=None):
+def solve_smv_per_column(problem, cfg=None):
     """Per-channel baseline: solve each column as its own L=1 problem.
 
     Reuses the exact joint solver machinery so comparisons isolate the
@@ -117,15 +121,13 @@ def solve_smv_per_column(problem, smoothing=None, cfg=None):
     split as epsilon / sqrt(L) per column, which keeps the stacked
     residual within the original ball.
     """
-    (report,) = solve_smv_batch([problem], smoothing, cfg)
+    (report,) = solve_smv_batch([problem], cfg)
     if isinstance(report, Exception):
         raise report
     return report
 
 
-def solve_problems(
-    solver, problems, k, smoothing=None, cfg=None, iht_cfg=None, use_music=False, max_outer=10
-):
+def solve_problems(solver, problems, k, cfg=None, use_music=False):
     """Run one solver on each problem; a report, or the error it raised, each.
 
     ``nesta`` and ``smv`` solve the whole list as one batch, and a report's
@@ -136,26 +138,25 @@ def solve_problems(
     if solver not in SOLVERS:
         raise InvalidArgumentError(f"unknown solver {solver!r}; use one of {SOLVERS}")
     if solver == SOLVER_NESTA:
-        return nesta_solve_batch(problems, smoothing, cfg)
+        return nesta_solve_batch(problems, cfg=cfg)
     if solver == SOLVER_SMV:
-        return solve_smv_batch(problems, smoothing, cfg)
+        return solve_smv_batch(problems, cfg)
     reports = []
     for problem in problems:
         try:
             if solver == SOLVER_ITERATIVE_NESTA:
-                report = iterative_nesta(
-                    problem, k, smoothing, cfg, use_music=use_music, max_outer=max_outer
-                )
+                report = iterative_nesta(problem, k, cfg=cfg, use_music=use_music)
             else:
-                report = iht_solve(problem, iht_cfg if iht_cfg is not None else IhtConfig(k=k))
+                report = iht_solve(problem, IhtConfig(k=k))
         except SOLVER_ERRORS as exc:
             report = exc
         reports.append(report)
     return reports
 
 
-def _trial_result(spec, solver, instance, report, wall, success_threshold):
-    """Score a report (or a solver error) against the instance's truth."""
+def _trial_result(spec, solver, instance, report, success_threshold):
+    """Score a report (or a solver error) against the instance's truth; the
+    trial's wall time is the report's, 0.0 for an error."""
     if isinstance(report, Exception):
         return TrialResult(
             spec=spec,
@@ -164,7 +165,7 @@ def _trial_result(spec, solver, instance, report, wall, success_threshold):
             support_exact=False,
             inner_iterations=0,
             outer_iterations=0,
-            wall_time=wall,
+            wall_time=0.0,
             success=False,
             error=str(report),
         )
@@ -177,32 +178,17 @@ def _trial_result(spec, solver, instance, report, wall, success_threshold):
         support_exact=report.detected_support == instance.support_true,
         inner_iterations=report.inner_iterations,
         outer_iterations=report.outer_iterations,
-        wall_time=wall,
+        wall_time=report.wall_time,
         success=rel < success_threshold,
     )
 
 
-def run_trial(
-    spec,
-    solver,
-    success_threshold=1e-3,
-    smoothing=None,
-    cfg=None,
-    iht_cfg=None,
-    k_threshold=None,
-    use_music=False,
-    max_outer=10,
-):
-    """Generate, solve, and score one instance. Solver failures are recorded
-    in the result (success False, error note) rather than raised."""
-    instance = gen_instance(spec)
-    k_thr = spec.k if k_threshold is None else k_threshold
-    t0 = time.perf_counter()
-    (report,) = solve_problems(
-        solver, [instance.problem], k_thr, smoothing, cfg, iht_cfg, use_music, max_outer
-    )
-    wall = time.perf_counter() - t0
-    return _trial_result(spec, solver, instance, report, wall, success_threshold)
+def run_trial(spec, solver):
+    """Generate, solve, and score one instance: a sweep cell of one trial,
+    scored at SUCCESS_THRESHOLD. Solver failures are recorded in the result
+    (success False, error note) rather than raised."""
+    (result,) = _cell_results([spec], [gen_instance(spec)], solver, SUCCESS_THRESHOLD)
+    return result
 
 
 def _cell_results(specs, instances, solver, success_threshold):
@@ -210,14 +196,7 @@ def _cell_results(specs, instances, solver, success_threshold):
     wall time is its report's (a share of the batch for batched solvers)."""
     reports = solve_problems(solver, [inst.problem for inst in instances], specs[0].k)
     return [
-        _trial_result(
-            spec,
-            solver,
-            inst,
-            report,
-            0.0 if isinstance(report, Exception) else report.wall_time,
-            success_threshold,
-        )
+        _trial_result(spec, solver, inst, report, success_threshold)
         for spec, inst, report in zip(specs, instances, reports)
     ]
 
@@ -232,7 +211,7 @@ class SweepConfig:
     output: str
     grid_k: tuple[int, ...] = ()
     grid_n: tuple[int, ...] = ()
-    success_threshold: float = 1e-3
+    success_threshold: float = SUCCESS_THRESHOLD
 
     def __post_init__(self):
         if self.trials < 1:
@@ -264,7 +243,7 @@ def parse_sweep_config(path):
         output=field_value(fields, "output", str),
         grid_k=field_value(fields, "grid.k", _parse_int_list, ()),
         grid_n=field_value(fields, "grid.n", _parse_int_list, ()),
-        success_threshold=field_value(fields, "success_threshold", float, 1e-3),
+        success_threshold=field_value(fields, "success_threshold", float, SUCCESS_THRESHOLD),
     )
 
 

@@ -34,22 +34,25 @@ from .nesta import RecoveryReport
 # Acceptance slack for adaptive steps that change the support.
 _ADAPTIVE_C = 0.01
 
+# Iteration stops once the relative iterate change
+# ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below this.
+STOP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class IhtConfig:
-    """Target row sparsity, step size, and stopping rule.
+    """Target row sparsity, step size, and iteration cap.
 
     ``step`` is the gradient step length (left None it becomes
     0.98 / ||phi||_2^2, with ||phi||_2 = sqrt(c) exactly when phi phi^T = c I
-    is certified and a power-iteration estimate otherwise). ``stop_tol``
-    bounds the relative iterate change ||alpha' - alpha||_F / max(1, ||alpha||_F)
-    at which iteration stops.
+    is certified and a power-iteration estimate otherwise). Iteration stops
+    once the relative iterate change ||alpha' - alpha||_F / max(1, ||alpha||_F)
+    falls below STOP_TOL, or at ``max_iters``.
     """
 
     k: int
     step: float | None = None
     max_iters: int = 2000
-    stop_tol: float = 1e-8
     adaptive_step: bool = False
 
     def __post_init__(self):
@@ -59,8 +62,6 @@ class IhtConfig:
             raise InvalidArgumentError("step must be positive")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
-        if self.stop_tol <= 0:
-            raise InvalidArgumentError("stop_tol must be positive")
 
 
 def spectral_norm(M, max_iters=50, tol=1e-10):
@@ -179,7 +180,7 @@ def iht_solve(problem, cfg):
         alpha = new_alpha
         resid = B - phi @ alpha
         trace.append(float(np.linalg.norm(resid)))
-        if change < cfg.stop_tol:
+        if change < STOP_TOL:
             converged = True
             break
 

@@ -18,6 +18,9 @@ import numpy as np
 
 from .core import InvalidArgumentError, SupportSet, as_matrix
 
+# Default relative singular-value threshold of the rank estimate.
+MUSIC_DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class MusicResult:
@@ -81,7 +84,7 @@ def _rank_and_scores(problem, delta):
     return r, (_subspace_scores(problem.phi, U[:, :r]) if r else None)
 
 
-def music_support(problem, k, delta=1e-8):
+def music_support(problem, k, delta=MUSIC_DELTA):
     """Select the k most subspace-consistent columns as a support estimate.
 
     The subspace dimension is estimated from the data's singular values with

@@ -74,13 +74,20 @@ from .core import (
     row_norms,
     row_support,
 )
-from .music import _rank_and_scores
+from .music import MUSIC_DELTA, _rank_and_scores
 from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
 
 # Continuation constants: first stage smoothing as a fraction of the data
-# scale max_j ||(phi^T B)(j,:)||_2, and the default final smoothing.
+# scale max_j ||(phi^T B)(j,:)||_2, the default final smoothing, and the
+# number of geometric steps between them.
 MU0_FACTOR = 0.9
 MU_FINAL_FACTOR = 1e-4
+CONTINUATION_STAGES = 4
+
+# A stage stops once the relative spread of its objective over the last
+# STOP_WINDOW iterations drops below STOP_TOL.
+STOP_WINDOW = 10
+STOP_TOL = 1e-7
 
 # Rows of the final iterate above this fraction of the largest row norm
 # count as detected support. Smoothing leaves spurious rows at roughly the
@@ -102,34 +109,28 @@ MULTIPLIER_MAX_STEPS = 200
 
 @dataclass(frozen=True)
 class NestaConfig:
-    """Solver knobs: feasibility radius override, continuation and stopping.
+    """Solver knobs: feasibility radius override, final smoothing, stage cap.
 
     ``epsilon`` and ``mu_final`` default to the problem's radius and to
-    MU_FINAL_FACTOR times the data scale. A stage stops once the relative
-    spread of the objective over the last ``stop_window`` iterations drops
-    below ``stop_tol``, or at ``max_inner_iters``.
+    MU_FINAL_FACTOR times the data scale; the schedule runs
+    CONTINUATION_STAGES geometric steps down to ``mu_final``. A stage stops
+    once the relative spread of the objective over the last STOP_WINDOW
+    iterations drops below STOP_TOL, or at ``max_inner_iters``.
     """
 
     epsilon: float | None = None
     mu_final: float | None = None
-    continuation_stages: int = 4
     max_inner_iters: int = 5000
-    stop_window: int = 10
-    stop_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon < 0:
-            raise InvalidArgumentError("epsilon must be nonnegative")
-        if self.mu_final is not None and self.mu_final <= 0:
-            raise InvalidArgumentError("mu_final must be positive")
-        if self.continuation_stages < 1:
-            raise InvalidArgumentError("continuation_stages must be >= 1")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidArgumentError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
+            )
+        if self.mu_final is not None and not (math.isfinite(self.mu_final) and self.mu_final > 0):
+            raise InvalidArgumentError(f"mu_final must be positive, got {self.mu_final!r}")
         if self.max_inner_iters < 1:
             raise InvalidArgumentError("max_inner_iters must be >= 1")
-        if self.stop_window < 2:
-            raise InvalidArgumentError("stop_window must be >= 2")
-        if self.stop_tol <= 0:
-            raise InvalidArgumentError("stop_tol must be positive")
 
 
 @dataclass(eq=False)
@@ -568,7 +569,7 @@ def _map_arrays(state, fn):
     return NestaState(state.k, *arrays[:5], state.objective_trace, *arrays[5:], state.trusted)
 
 
-def nesta_step(state, problem, smoothing, cfg=None, projector=None, batch=None):
+def nesta_step(state, problem, smoothing, projector=None, batch=None):
     """Advance the solver by one iteration; returns the new state.
 
     Weights follow the accelerated scheme exactly: history weight
@@ -590,7 +591,7 @@ def nesta_step(state, problem, smoothing, cfg=None, projector=None, batch=None):
     """
     if batch is None:
         if projector is None:
-            projector = _build_projector(problem, None if cfg is None else cfg.epsilon)
+            projector = _build_projector(problem)
         batch, _ = _Batch.of([projector], [smoothing.mu], smoothing)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
@@ -631,8 +632,8 @@ def _start(problem, smoothing, cfg, bases):
     if mu_final >= mu0:
         schedule = [mu_final]
     else:
-        ratio = (mu_final / mu0) ** (1.0 / cfg.continuation_stages)
-        schedule = [mu0 * ratio ** (i + 1) for i in range(cfg.continuation_stages)]
+        ratio = (mu_final / mu0) ** (1.0 / CONTINUATION_STAGES)
+        schedule = [mu0 * ratio ** (i + 1) for i in range(CONTINUATION_STAGES)]
     projector = _build_projector(problem, eps, bases)
     return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
@@ -641,8 +642,8 @@ def _run_stage(solves, stage, smoothing, cfg):
     """Run continuation stage ``stage`` of the given solves as one batch.
 
     Every solve iterates at its own mu from its last y until the relative
-    spread of its objective over the last ``stop_window`` iterations drops
-    below ``stop_tol``, its objective falls under its floor, or
+    spread of its objective over the last STOP_WINDOW iterations drops
+    below STOP_TOL, its objective falls under its floor, or
     ``max_inner_iters``; it then leaves the batch, so that it iterates
     exactly as often as it would alone. A solve whose projection raises
     leaves with the error recorded.
@@ -656,7 +657,7 @@ def _run_stage(solves, stage, smoothing, cfg):
     active = [solves[i] for i in order]
     ids = np.asarray(order)  # position in ``solves`` of each slot
     state = initial_state(np.stack([s.x for s in active]))
-    width = cfg.stop_window
+    width = STOP_WINDOW
     # each objective is written twice, so the last ``width`` of them are
     # always the contiguous rows k % width .. k % width + width - 1
     recent = np.empty((2 * width, len(active)))
@@ -675,7 +676,7 @@ def _run_stage(solves, stage, smoothing, cfg):
             level = np.abs(np.add.accumulate(window)[-1] / width)
             top = np.maximum.reduce(window)
             spread = top - np.minimum.reduce(window)
-            leaving = (spread <= cfg.stop_tol * np.maximum(level, 1e-30)) | (top <= floor)
+            leaving = (spread <= STOP_TOL * np.maximum(level, 1e-30)) | (top <= floor)
         elif errors:
             leaving = np.zeros(len(active), dtype=bool)
         else:
@@ -734,11 +735,11 @@ def _run_stage_alone(solve, stage, smoothing, cfg):
     sm = replace(smoothing, mu=solve.schedule[stage])
     batch, _ = _Batch.of([solve.projector], [sm.mu], sm)
     state = initial_state(solve.x)
-    trace, width = state.objective_trace, cfg.stop_window
+    trace, width = state.objective_trace, STOP_WINDOW
     converged = False
     for _ in range(cfg.max_inner_iters):
         try:
-            state = nesta_step(state, solve.problem, sm, cfg, batch=batch)
+            state = nesta_step(state, solve.problem, sm, batch=batch)
         except SOLVER_ERRORS as exc:
             solve.error = exc
             return
@@ -746,7 +747,7 @@ def _run_stage_alone(solve, stage, smoothing, cfg):
             window = trace[-width:]
             top = max(window)
             level = abs(reduce(add, window) / width)
-            if top - min(window) <= cfg.stop_tol * max(level, 1e-30) or top <= solve.floor:
+            if top - min(window) <= STOP_TOL * max(level, 1e-30) or top <= solve.floor:
                 converged = True
                 break
     solve.x = state.y
@@ -852,10 +853,12 @@ def nesta_solve(problem, smoothing=None, cfg=None):
 
     The smoothing config supplies the aggregator and any trusted support;
     its mu is managed by the continuation schedule, which runs
-    ``continuation_stages`` geometric steps from MU0_FACTOR times the data
-    scale down to ``mu_final``. The returned estimate is the last
-    gradient-mapped point y (always feasible), mapped through Psi. This is
-    :func:`nesta_solve_batch` on a batch of one; its error is raised.
+    CONTINUATION_STAGES geometric steps from MU0_FACTOR times the data
+    scale down to ``mu_final``; a stage stops once the relative spread of
+    its objective over the last STOP_WINDOW iterations drops below
+    STOP_TOL. The returned estimate is the last gradient-mapped point y
+    (always feasible), mapped through Psi. This is :func:`nesta_solve_batch`
+    on a batch of one; its error is raised.
     """
     (report,) = nesta_solve_batch([problem], smoothing, cfg)
     if isinstance(report, Exception):
@@ -863,9 +866,9 @@ def nesta_solve(problem, smoothing=None, cfg=None):
     return report
 
 
-def _music_seed(problem, k, delta):
+def _music_seed(problem, k):
     """Conservative trusted-support seed: min(rank, k) best-scored rows."""
-    r, scores = _rank_and_scores(problem, delta)
+    r, scores = _rank_and_scores(problem, MUSIC_DELTA)
     if r == 0:
         return SupportSet()
     size = min(r, k)
@@ -892,7 +895,6 @@ def iterative_nesta(
     cfg=None,
     use_music=False,
     max_outer=10,
-    music_delta=1e-8,
     threshold_mode="largest-k",
     cutoff_fraction=0.1,
 ):
@@ -916,7 +918,7 @@ def iterative_nesta(
     t0 = time.perf_counter()
     base = SmoothingConfig() if smoothing is None else smoothing
 
-    support = _music_seed(problem, k, music_delta) if use_music else SupportSet()
+    support = _music_seed(problem, k) if use_music else SupportSet()
     total_inner = 0
     traces = []
     stage_iters = []

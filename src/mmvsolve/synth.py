@@ -165,8 +165,10 @@ class ProblemSpec:
             raise InvalidArgumentError(
                 f"rank = {self.rank} must be <= min(k, L) = {min(self.k, self.L)}"
             )
-        if self.noise_sigma < 0:
-            raise InvalidArgumentError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidArgumentError(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma!r}"
+            )
         if self.matrix_kind not in MATRIX_KINDS:
             raise InvalidArgumentError(
                 f"unknown matrix_kind {self.matrix_kind!r}; use one of {MATRIX_KINDS}"

@@ -116,6 +116,20 @@ def test_solve_malformed_spec_value_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'k'" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_noise_exits_2(value, capsys):
+    assert main(["solve", "--n", "16", "--N", "32", "--L", "2", "--k", "3", "--noise", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "noise_sigma" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_eps_exits_2(value, capsys):
+    assert main(["solve", "--n", "16", "--N", "32", "--L", "2", "--k", "3", "--eps", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon" in err
+
+
 def test_solve_loaded_matrices(tmp_path, capsys):
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=3))
     a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmvsolve import (
+    SOLVERS,
     InvalidArgumentError,
     ProblemSpec,
     SweepConfig,
@@ -12,7 +13,7 @@ from mmvsolve import (
     run_trial,
     solve_smv_per_column,
 )
-from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER, solve_smv_batch
+from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER, _trial_row, solve_smv_batch
 
 
 def small_spec(**kw):
@@ -96,6 +97,18 @@ def test_run_trial_all_solvers():
         result = run_trial(small_spec(seed=2), solver)
         assert result.error is None
         assert result.success, f"{solver}: rel={result.relative_error}"
+
+
+def test_run_trial_is_a_sweep_cell_of_one(tmp_path):
+    # a trial equals the row a one-trial sweep writes for it, wall time aside
+    spec = small_spec(seed=4)
+    for solver in SOLVERS:
+        out = tmp_path / f"{solver}.csv"
+        run_sweep(SweepConfig(base=spec, solvers=(solver,), trials=1, output=str(out)))
+        swept = out.read_text().splitlines()[2].split(",")
+        single = _trial_row(run_trial(spec, solver)).split(",")
+        del swept[12], single[12]  # wall_time_s
+        assert single == swept, solver
 
 
 def write_config(path, **overrides):

@@ -18,7 +18,7 @@ from mmvsolve import (
     nesta_solve_batch,
     nesta_step,
 )
-from mmvsolve.nesta import REFRESH_EVERY, _Batch, _step
+from mmvsolve.nesta import REFRESH_EVERY, STOP_TOL, STOP_WINDOW, _Batch, _step
 
 # hand-fixed instance with exact gram A A^T = 2 I
 A_FIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
@@ -360,19 +360,18 @@ def test_objective_trace_windowed_decrease():
     # each stage's final window satisfies the stopping functional and the
     # stage ends no higher than where its first window ended
     inst = gen_instance(ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=2))
-    cfg = NestaConfig()
-    report = nesta_solve(inst.problem, cfg=cfg)
+    report = nesta_solve(inst.problem)
     assert report.converged
     pos = 0
     for length in report.stage_iterations:
         seg = report.objective_trace[pos : pos + length]
         pos += length
-        assert len(seg) >= cfg.stop_window
-        window = seg[-cfg.stop_window :]
+        assert len(seg) >= STOP_WINDOW
+        window = seg[-STOP_WINDOW:]
         level = max(abs(sum(window) / len(window)), 1e-30)
-        assert max(window) - min(window) <= cfg.stop_tol * level
-        first = seg[cfg.stop_window - 1]
-        assert seg[-1] <= first + cfg.stop_tol * max(first, 1e-30)
+        assert max(window) - min(window) <= STOP_TOL * level
+        first = seg[STOP_WINDOW - 1]
+        assert seg[-1] <= first + STOP_TOL * max(first, 1e-30)
 
 
 def row_mixed(problem, seed):
@@ -489,11 +488,17 @@ def test_solve_with_sparsifying_transform():
 
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
-        NestaConfig(stop_window=1)
-    with pytest.raises(InvalidArgumentError):
         NestaConfig(mu_final=0.0)
     with pytest.raises(InvalidArgumentError):
         NestaConfig(epsilon=-0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_radius_and_smoothing(value):
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
+        NestaConfig(epsilon=value)
+    with pytest.raises(InvalidArgumentError, match="mu_final"):
+        NestaConfig(mu_final=value)
 
 
 def batch_problems():

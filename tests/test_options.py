@@ -1,0 +1,58 @@
+"""The settable surface of the solvers and the harness.
+
+A knob added to a config object or to one of these calls shows up here as
+a test edit, so that each one is a visible decision.
+"""
+
+import dataclasses
+import inspect
+
+from mmvsolve import (
+    IhtConfig,
+    NestaConfig,
+    SmoothingConfig,
+    SweepConfig,
+    iterative_nesta,
+    nesta_step,
+    run_trial,
+)
+from mmvsolve.harness import solve_problems
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_config_fields():
+    assert field_names(NestaConfig) == ["epsilon", "mu_final", "max_inner_iters"]
+    assert field_names(IhtConfig) == ["k", "step", "max_iters", "adaptive_step"]
+    assert field_names(SmoothingConfig) == ["mu", "aggregator", "known_support"]
+    assert field_names(SweepConfig) == [
+        "base",
+        "solvers",
+        "trials",
+        "output",
+        "grid_k",
+        "grid_n",
+        "success_threshold",
+    ]
+
+
+def test_call_parameters():
+    assert parameters(run_trial) == ["spec", "solver"]
+    assert parameters(solve_problems) == ["solver", "problems", "k", "cfg", "use_music"]
+    assert parameters(nesta_step) == ["state", "problem", "smoothing", "projector", "batch"]
+    assert parameters(iterative_nesta) == [
+        "problem",
+        "k",
+        "smoothing",
+        "cfg",
+        "use_music",
+        "max_outer",
+        "threshold_mode",
+        "cutoff_fraction",
+    ]

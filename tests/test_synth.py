@@ -27,6 +27,12 @@ def test_spec_validation():
         ProblemSpec(n=4, N=8, L=2, k=3, rank=2, matrix_kind="bernoulli")
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_noise(sigma):
+    with pytest.raises(InvalidArgumentError, match="noise_sigma"):
+        ProblemSpec(n=4, N=8, L=2, k=3, rank=2, noise_sigma=sigma)
+
+
 def test_rng_determinism_and_range():
     a = Rng64(123)
     b = Rng64(123)
