@@ -8,6 +8,7 @@ for identical flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -97,59 +98,40 @@ def _spec_from_args(args):
     )
 
 
-def _solve(args, problem, k, cfg):
-    """The report of ``--solver`` on one problem; a solver error is raised."""
-    (report,) = solve_problems(args.solver, [problem], k, cfg=cfg, use_music=args.use_music)
-    if isinstance(report, Exception):
-        raise report
-    return report
-
-
-def _solve_loaded(args):
-    """Solve a problem read from CSV files; no ground truth available."""
-    if not args.load_data:
-        raise InvalidArgumentError("--load-matrix requires --load-data")
-    A = read_matrix(args.load_matrix)
-    B = read_matrix(args.load_data)
-    eps = args.eps if args.eps is not None else 0.0
-    problem = MmvProblem(A=A, B=B, epsilon=eps)
-    cfg = NestaConfig(mu_final=args.mu_final)
-    if args.solver not in (SOLVER_NESTA, SOLVER_SMV) and args.k_threshold is None:
-        raise InvalidArgumentError(f"--solver {args.solver} needs --k-threshold")
-    report = _solve(args, problem, args.k_threshold, cfg)
-    summary = (
-        f"solver={args.solver} residual={report.final_residual!r} "
-        f"inner_iters={report.inner_iterations} outer_iters={report.outer_iterations} "
-        f"wall_time_s={report.wall_time!r}"
-    )
-    print(summary)
-    if args.dump_estimate:
-        write_matrix(args.dump_estimate, report.estimate)
-    return 0
-
-
 def _cmd_solve(args):
+    """Solve a loaded problem (no ground truth) or a generated one (scored)."""
+    instance = None
     if args.load_matrix or args.load_data:
         if not args.load_matrix:
             raise InvalidArgumentError("--load-data requires --load-matrix")
-        return _solve_loaded(args)
-    spec = _spec_from_args(args)
-    cfg = NestaConfig(epsilon=args.eps, mu_final=args.mu_final)
-    instance = gen_instance(spec)
-    k_thr = args.k_threshold if args.k_threshold is not None else spec.k
-    report = _solve(args, instance.problem, k_thr, cfg)
-    rel = float(
-        np.linalg.norm(report.estimate - instance.X_true)
-        / np.linalg.norm(instance.X_true)
-    )
-    support_exact = report.detected_support == instance.support_true
-    summary = (
-        f"solver={args.solver} rel_error={rel!r} "
-        f"residual={report.final_residual!r} support_exact={int(support_exact)} "
+        if not args.load_data:
+            raise InvalidArgumentError("--load-matrix requires --load-data")
+        problem = MmvProblem(A=read_matrix(args.load_matrix), B=read_matrix(args.load_data))
+        k = args.k_threshold
+    else:
+        spec = _spec_from_args(args)
+        instance = gen_instance(spec)
+        problem = instance.problem
+        k = args.k_threshold if args.k_threshold is not None else spec.k
+    if args.eps is not None:
+        problem = dataclasses.replace(problem, epsilon=args.eps)
+    cfg = NestaConfig(mu_final=args.mu_final)
+    if args.solver not in (SOLVER_NESTA, SOLVER_SMV) and k is None:
+        raise InvalidArgumentError(f"--solver {args.solver} needs --k-threshold")
+    (report,) = solve_problems(args.solver, [problem], k, cfg=cfg, use_music=args.use_music)
+    if isinstance(report, Exception):
+        raise report
+    rel_error = support_exact = ""  # scored only against a ground truth
+    if instance is not None:
+        truth = instance.X_true
+        rel = float(np.linalg.norm(report.estimate - truth) / np.linalg.norm(truth))
+        rel_error = f" rel_error={rel!r}"
+        support_exact = f" support_exact={int(report.detected_support == instance.support_true)}"
+    print(
+        f"solver={args.solver}{rel_error} residual={report.final_residual!r}{support_exact} "
         f"inner_iters={report.inner_iterations} outer_iters={report.outer_iterations} "
         f"wall_time_s={report.wall_time!r}"
     )
-    print(summary)
     if args.dump_estimate:
         write_matrix(args.dump_estimate, report.estimate)
     return 0

@@ -180,7 +180,9 @@ class MmvProblem:
             )
         self.epsilon = float(self.epsilon)
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise InvalidArgumentError("epsilon must be finite and nonnegative")
+            raise InvalidArgumentError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
+            )
         if self.Psi is not None:
             P = as_matrix(self.Psi, "sparsifying transform")
             if P.shape != (self.A.N, self.A.N):
@@ -277,11 +279,18 @@ def row_support(X, tol=0.0):
     return SupportSet(tuple(np.flatnonzero(norms > tol).tolist()))
 
 
-def _numerical_rank(M, rank_tol):
-    sv = np.linalg.svd(M, compute_uv=False)
+def rank_above(sv, tol):
+    """Number of descending singular values ``sv`` above tol times the largest.
+
+    The one numerical-rank rule of the package; 0 when sv is empty or zero.
+    """
     if sv.size == 0 or sv[0] == 0:
         return 0
-    return int((sv > rank_tol * sv[0]).sum())
+    return int((sv > tol * sv[0]).sum())
+
+
+def _numerical_rank(M, rank_tol):
+    return rank_above(np.linalg.svd(M, compute_uv=False), rank_tol)
 
 
 def spark(A, rank_tol=1e-10):

@@ -119,7 +119,9 @@ def solve_smv_per_column(problem, cfg=None):
     Reuses the exact joint solver machinery so comparisons isolate the
     row-coupling, not implementation differences. The noise radius is
     split as epsilon / sqrt(L) per column, which keeps the stacked
-    residual within the original ball.
+    residual within the problem's ball; a caller that wants another radius
+    passes ``dataclasses.replace(problem, epsilon=...)``, which is split the
+    same way.
     """
     (report,) = solve_smv_batch([problem], cfg)
     if isinstance(report, Exception):
@@ -216,6 +218,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        if not (np.isfinite(self.success_threshold) and self.success_threshold > 0):
+            raise InvalidArgumentError(
+                f"success_threshold must be finite and positive, got {self.success_threshold!r}"
+            )
         if not self.solvers:
             raise InvalidArgumentError("at least one solver is required")
         for s in self.solvers:

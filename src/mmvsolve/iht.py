@@ -58,8 +58,8 @@ class IhtConfig:
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 1:
             raise InvalidArgumentError(f"k must be a positive integer, got {self.k!r}")
-        if self.step is not None and self.step <= 0:
-            raise InvalidArgumentError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise InvalidArgumentError(f"step must be finite and positive, got {self.step!r}")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
 

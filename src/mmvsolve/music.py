@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix
+from .core import InvalidArgumentError, SupportSet, as_matrix, rank_above
 
 # Default relative singular-value threshold of the rank estimate.
 MUSIC_DELTA = 1e-8
@@ -29,19 +29,17 @@ class MusicResult:
     support: SupportSet
 
 
-def _rank_above(sv, delta):
-    """Number of descending singular values above delta times the largest."""
+def _signal_rank(sv, delta):
+    """:func:`rank_above` with delta checked to lie in (0, 1)."""
     if not 0 < delta < 1:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta!r}")
-    if sv[0] == 0:
-        return 0
-    return int((sv > delta * sv[0]).sum())
+    return rank_above(sv, delta)
 
 
 def estimate_rank(B, delta):
     """Number of singular values of B above delta times the largest."""
     B = as_matrix(B, "measurement block")
-    return _rank_above(np.linalg.svd(B, compute_uv=False), delta)
+    return _signal_rank(np.linalg.svd(B, compute_uv=False), delta)
 
 
 def _subspace_scores(phi, Us):
@@ -80,7 +78,7 @@ def _rank_and_scores(problem, delta):
     Both come from one thin SVD of B; the scores are None when the rank is 0.
     """
     U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
-    r = _rank_above(sv, delta)
+    r = _signal_rank(sv, delta)
     return r, (_subspace_scores(problem.phi, U[:, :r]) if r else None)
 
 

@@ -109,24 +109,20 @@ MULTIPLIER_MAX_STEPS = 200
 
 @dataclass(frozen=True)
 class NestaConfig:
-    """Solver knobs: feasibility radius override, final smoothing, stage cap.
+    """Solver knobs: final smoothing and stage cap.
 
-    ``epsilon`` and ``mu_final`` default to the problem's radius and to
-    MU_FINAL_FACTOR times the data scale; the schedule runs
-    CONTINUATION_STAGES geometric steps down to ``mu_final``. A stage stops
-    once the relative spread of the objective over the last STOP_WINDOW
-    iterations drops below STOP_TOL, or at ``max_inner_iters``.
+    The feasibility radius is the problem's ``epsilon``; for another
+    radius, solve ``dataclasses.replace(problem, epsilon=...)``.
+    ``mu_final`` defaults to MU_FINAL_FACTOR times the data scale; the
+    schedule runs CONTINUATION_STAGES geometric steps down to ``mu_final``.
+    A stage stops once the relative spread of the objective over the last
+    STOP_WINDOW iterations drops below STOP_TOL, or at ``max_inner_iters``.
     """
 
-    epsilon: float | None = None
     mu_final: float | None = None
     max_inner_iters: int = 5000
 
     def __post_init__(self):
-        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidArgumentError(
-                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
-            )
         if self.mu_final is not None and not (math.isfinite(self.mu_final) and self.mu_final > 0):
             raise InvalidArgumentError(f"mu_final must be positive, got {self.mu_final!r}")
         if self.max_inner_iters < 1:
@@ -235,8 +231,8 @@ class FeasibilityProjector:
         self.phi = phi
         self.B = B
         self.eps = float(eps)
-        if self.eps < 0:
-            raise InvalidArgumentError("eps must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidArgumentError(f"eps must be finite and nonnegative, got {self.eps!r}")
         self.gram_scale = gram_scale
         self.newton_steps = 0
         self.newton_cap_hits = 0
@@ -313,30 +309,30 @@ class FeasibilityProjector:
         return lam
 
 
-def _build_projector(problem, epsilon=None, bases=None):
+def _build_projector(problem, bases=None):
     """The projector onto the problem's ball, closed form when phi is certified.
 
     ``bases`` maps id(phi) to the eigenbasis of each uncertified operator
     already factored; problems that share one phi array share its entry.
     """
-    eps = problem.epsilon if epsilon is None else epsilon
     A, phi = problem.A, problem.phi
     if A.row_orthonormal:
-        return FeasibilityProjector(phi, problem.B, eps, gram_scale=A.row_gram_scale)
+        return FeasibilityProjector(phi, problem.B, problem.epsilon, gram_scale=A.row_gram_scale)
     bases = {} if bases is None else bases
     basis = bases.get(id(phi))
     if basis is None:
         basis = bases[id(phi)] = _Eigenbasis(phi)
-    return FeasibilityProjector(phi, problem.B, eps, basis=basis)
+    return FeasibilityProjector(phi, problem.B, problem.epsilon, basis=basis)
 
 
-def project_feasible(q, problem, epsilon=None):
-    """Project q onto the problem's data-consistency ball (one-shot helper).
+def project_feasible(q, problem):
+    """Project q onto the problem's ball of radius ``problem.epsilon``.
 
-    Solvers build one :class:`FeasibilityProjector` and reuse it; this
-    convenience wrapper pays the factorization on every call.
+    A one-shot helper: solvers build one :class:`FeasibilityProjector` and
+    reuse it, while this wrapper pays the factorization on every call. For
+    another radius, pass ``dataclasses.replace(problem, epsilon=...)``.
     """
-    return _build_projector(problem, epsilon)(q)
+    return _build_projector(problem)(q)
 
 
 def initial_state(alpha0):
@@ -621,12 +617,11 @@ def _start(problem, smoothing, cfg, bases):
     """A :class:`_Solve` at the projected back-projection of the data, or
     the final report when the data is zero; ``bases`` as in
     :func:`_build_projector`."""
-    eps = problem.epsilon if cfg.epsilon is None else cfg.epsilon
     smoothing.known_support.validate_for(problem.N)
     corr = problem.phi.T @ problem.B
     scale = float(row_norms(corr, 2).max())
     if scale == 0.0:
-        return _zero_data_report(problem, eps)
+        return _zero_data_report(problem)
     mu_final = MU_FINAL_FACTOR * scale if cfg.mu_final is None else cfg.mu_final
     mu0 = MU0_FACTOR * scale
     if mu_final >= mu0:
@@ -634,7 +629,7 @@ def _start(problem, smoothing, cfg, bases):
     else:
         ratio = (mu_final / mu0) ** (1.0 / CONTINUATION_STAGES)
         schedule = [mu0 * ratio ** (i + 1) for i in range(CONTINUATION_STAGES)]
-    projector = _build_projector(problem, eps, bases)
+    projector = _build_projector(problem, bases)
     return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
 
@@ -756,10 +751,10 @@ def _run_stage_alone(solve, stage, smoothing, cfg):
     solve.trace = np.concatenate([solve.trace, trace])
 
 
-def _zero_data_report(problem, eps):
+def _zero_data_report(problem):
     alpha = np.zeros((problem.N, problem.L))
     resid = float(np.linalg.norm(problem.B))
-    if resid > eps:
+    if resid > problem.epsilon:
         raise InfeasibleProblemError(
             "measurements are orthogonal to the operator range and exceed "
             "the noise radius"

@@ -20,6 +20,7 @@ from .core import (
     MeasurementMatrix,
     MmvProblem,
     SupportSet,
+    rank_above,
     read_matrix,
     row_orthonormalize,
     write_matrix,
@@ -232,8 +233,7 @@ def _rank_checked_block(rng, k, rank, L):
         left = rng.normals(k, rank)
         right = rng.normals(rank, L)
         block = left @ right
-        sv = np.linalg.svd(block, compute_uv=False)
-        numerical_rank = int((sv > 1e-10 * sv[0]).sum()) if sv[0] > 0 else 0
+        numerical_rank = rank_above(np.linalg.svd(block, compute_uv=False), 1e-10)
         if numerical_rank == rank and (block != 0).any(axis=1).all():
             return block
 

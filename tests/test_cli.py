@@ -130,6 +130,30 @@ def test_solve_non_finite_eps_exits_2(value, capsys):
     assert err.startswith("error:") and "epsilon" in err
 
 
+def solve_residual(args, capsys):
+    assert main(["solve", *args]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    return float(re.search(r"residual=(\S+)", line).group(1))
+
+
+@pytest.mark.parametrize(
+    "args,eps",
+    [
+        (["--n", "16", "--N", "32", "--L", "4", "--k", "3", "--seed", "1"], 0.5),
+        (
+            ["--n", "12", "--N", "24", "--L", "2", "--k", "3", "--rank", "2",
+             "--noise", "0.01", "--matrix-kind", "gaussian", "--seed", "21"],
+            0.05,
+        ),
+    ],
+)
+def test_solve_smv_eps_is_the_problem_radius(args, eps, capsys):
+    # smv splits the given radius as eps / sqrt(L) per column, so the
+    # stacked residual stays inside the ball that --eps asks for
+    residual = solve_residual([*args, "--solver", "smv", "--eps", str(eps)], capsys)
+    assert residual <= eps * (1.0 + 1e-9)
+
+
 def test_solve_loaded_matrices(tmp_path, capsys):
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=3))
     a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"
@@ -220,6 +244,18 @@ def test_sweep_malformed_value_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'trials'" in err
+
+
+def test_sweep_non_finite_success_threshold_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n = 10\nN = 20\nL = 3\nk = 2\nrank = 2\nseed = 0\ntrials = 1\n"
+        f"solvers = nesta\nsuccess_threshold = nan\noutput = {tmp_path}/res.csv\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "success_threshold" in err
+    assert not (tmp_path / "res.csv").exists()
 
 
 def test_module_entry_point_runs():

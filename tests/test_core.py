@@ -19,6 +19,7 @@ from mmvsolve import (
     spark,
     write_matrix,
 )
+from mmvsolve.core import rank_above
 
 
 def test_row_norms_examples():
@@ -231,6 +232,20 @@ def test_mmv_problem_validation():
     prob = MmvProblem(A=A, B=np.ones((3, 2)), epsilon=0.5)
     assert (prob.n, prob.N, prob.L) == (3, 3, 2)
     assert prob.phi is A.entries  # identity transform adds no copy
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_mmv_problem_rejects_non_finite_epsilon(value):
+    A = MeasurementMatrix.from_entries(np.eye(3))
+    with pytest.raises(InvalidArgumentError, match=f"epsilon .*got {value!r}"):
+        MmvProblem(A=A, B=np.zeros((3, 1)), epsilon=value)
+
+
+def test_rank_above_counts_relative_to_the_largest():
+    assert rank_above(np.array([4.0, 2.0, 1e-9, 0.0]), 1e-8) == 2
+    assert rank_above(np.array([4.0, 2.0, 1e-9, 0.0]), 1e-12) == 3
+    assert rank_above(np.zeros(3), 1e-8) == 0
+    assert rank_above(np.empty(0), 1e-8) == 0
 
 
 def test_matrix_csv_round_trip(tmp_path):

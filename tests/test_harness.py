@@ -242,6 +242,18 @@ def test_sweep_config_validation():
         SweepConfig(base=base, solvers=("unknown",), trials=1, output="x.csv")
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sweep_config_rejects_non_positive_or_non_finite_threshold(threshold):
+    with pytest.raises(InvalidArgumentError, match=f"success_threshold .*got {threshold!r}"):
+        SweepConfig(
+            base=small_spec(),
+            solvers=("nesta",),
+            trials=1,
+            output="x.csv",
+            success_threshold=threshold,
+        )
+
+
 # SHA-256 of each CSV column ("\n"-joined, trial and aggregate rows) of a
 # small criterion-5 style sweep: 32x64x4, rank 4, seeds 0-4, k = 8 and 12,
 # solvers nesta and smv. wall_time_s is not pinned; relative_error is

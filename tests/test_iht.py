@@ -42,6 +42,12 @@ def test_config_validation():
         IhtConfig(k=2, step=-1.0)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_step(step):
+    with pytest.raises(InvalidArgumentError, match=f"step .*got {step!r}"):
+        IhtConfig(k=2, step=step)
+
+
 def test_rejects_unstable_step():
     inst = gen_instance(ProblemSpec(n=6, N=12, L=2, k=2, rank=2, seed=0))
     # row-orthonormal operator has unit spectral norm; step 2 is unstable

@@ -489,14 +489,10 @@ def test_solve_with_sparsifying_transform():
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         NestaConfig(mu_final=0.0)
-    with pytest.raises(InvalidArgumentError):
-        NestaConfig(epsilon=-0.5)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_radius_and_smoothing(value):
-    with pytest.raises(InvalidArgumentError, match="epsilon"):
-        NestaConfig(epsilon=value)
     with pytest.raises(InvalidArgumentError, match="mu_final"):
         NestaConfig(mu_final=value)
 

@@ -14,6 +14,7 @@ from mmvsolve import (
     SweepConfig,
     iterative_nesta,
     nesta_step,
+    project_feasible,
     run_trial,
 )
 from mmvsolve.harness import solve_problems
@@ -28,7 +29,7 @@ def parameters(fn):
 
 
 def test_config_fields():
-    assert field_names(NestaConfig) == ["epsilon", "mu_final", "max_inner_iters"]
+    assert field_names(NestaConfig) == ["mu_final", "max_inner_iters"]
     assert field_names(IhtConfig) == ["k", "step", "max_iters", "adaptive_step"]
     assert field_names(SmoothingConfig) == ["mu", "aggregator", "known_support"]
     assert field_names(SweepConfig) == [
@@ -46,6 +47,7 @@ def test_call_parameters():
     assert parameters(run_trial) == ["spec", "solver"]
     assert parameters(solve_problems) == ["solver", "problems", "k", "cfg", "use_music"]
     assert parameters(nesta_step) == ["state", "problem", "smoothing", "projector", "batch"]
+    assert parameters(project_feasible) == ["q", "problem"]
     assert parameters(iterative_nesta) == [
         "problem",
         "k",
@@ -56,3 +58,9 @@ def test_call_parameters():
         "threshold_mode",
         "cutoff_fraction",
     ]
+
+
+def test_radius_lives_only_on_the_problem():
+    # the solvers read problem.epsilon; a radius override is a new knob
+    assert not hasattr(NestaConfig(), "epsilon")
+    assert not hasattr(NestaConfig, "epsilon")

@@ -4,6 +4,7 @@ import pytest
 from mmvsolve import (
     FeasibilityProjector,
     InfeasibleProblemError,
+    InvalidArgumentError,
     MeasurementMatrix,
     MmvProblem,
     SmoothingConfig,
@@ -185,5 +186,15 @@ def test_project_feasible_wrapper_uses_problem_radius():
     q = 10.0 * rng.standard_normal((7, 2))
     out = project_feasible(q, problem)
     assert np.linalg.norm(A.entries @ out - B) == pytest.approx(0.25, abs=1e-10)
-    out0 = project_feasible(q, problem, epsilon=0.0)
+    out0 = project_feasible(q, MmvProblem(A=A, B=B, epsilon=0.0))
     assert np.linalg.norm(A.entries @ out0 - B) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("certified", [True, False])
+def test_projector_rejects_non_finite_or_negative_radius(eps, certified):
+    phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    B = np.ones((2, 1))
+    gram_scale = 1.0 if certified else None
+    with pytest.raises(InvalidArgumentError, match=f"eps .*got {eps!r}"):
+        FeasibilityProjector(phi, B, eps, gram_scale=gram_scale)
