@@ -23,6 +23,7 @@ from .core import (
     write_matrix,
 )
 from .harness import (
+    SOLVER_IHT,
     SOLVER_NESTA,
     SOLVER_SMV,
     SOLVERS,
@@ -100,6 +101,13 @@ def _spec_from_args(args):
 
 def _cmd_solve(args):
     """Solve a loaded problem (no ground truth) or a generated one (scored)."""
+    if args.solver == SOLVER_IHT:
+        for flag, value in (("--eps", args.eps), ("--mu-final", args.mu_final)):
+            if value is not None:
+                raise InvalidArgumentError(
+                    f"{flag} does not apply to --solver iht, which has no noise ball "
+                    "and no smoothing"
+                )
     instance = None
     if args.load_matrix or args.load_data:
         if not args.load_matrix:

@@ -44,9 +44,9 @@ one shape are solved together (``nesta_solve_batch``): each product with
 phi is one stacked product for the whole batch, the continuation stages
 run in step, and a problem leaves the batch when its own stop test fires.
 Every operation treats each problem as it would alone, so a problem's
-result does not depend on the batch it is in. ``nesta_step`` is the step
-on a batch of one; a stage that one problem runs alone (every stage of
-``nesta_solve``) takes one call of it per iteration.
+result does not depend on the batch it is in. One stage loop serves
+batches of every size, ``nesta_solve``'s batch of one included, and each
+of its iterations is one ``nesta_step`` call on the stacked state.
 
 An outer refinement loop alternates full solves with hard-threshold support
 updates: rows the threshold keeps become trusted (unpenalized) in the next
@@ -58,8 +58,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -218,6 +216,9 @@ class FeasibilityProjector:
     V^T v = diag(lam / (1 + lam d)) rt, elementwise, where the Lagrange
     multiplier lam solves the secular equation psi(lam) = eps^2 with
     psi(lam) = sum_i w_i / (1 + lam d_i)^2 and w = squared row norms of rt.
+    The ball is empty when the data's component outside the range of phi,
+    the rows of ``data`` on the zero eigenvalues, is longer than eps; that
+    raises InfeasibleProblemError here, so a projection never raises.
     Newton's method runs on the equivalent 1/sqrt(psi(lam)) - 1/eps = 0,
     which is nearly linear in lam (Moré & Sorensen's form of the
     trust-region secular equation); from lam = 0 it takes 2-3 steps on the
@@ -240,6 +241,19 @@ class FeasibilityProjector:
             self.basis = _Eigenbasis(phi) if basis is None else basis
             self.operator = self.basis.operator
             self.data = self.basis.V.T @ B
+            off_range = self.data[self.basis.null]
+            attainable = math.sqrt(float((off_range * off_range).sum()))
+            if self.eps == 0.0:
+                if attainable > 1e-9 * max(1.0, float(np.linalg.norm(B))):
+                    raise InfeasibleProblemError(
+                        "exact consistency demanded but the data has components "
+                        "outside the range of the operator"
+                    )
+            elif attainable > self.eps * (1.0 + 1e-9):
+                raise InfeasibleProblemError(
+                    f"feasible set is empty: best attainable residual "
+                    f"{attainable:g} exceeds eps = {self.eps:g}"
+                )
         else:
             self.basis = None
             self.operator, self.data = phi, B
@@ -272,22 +286,8 @@ class FeasibilityProjector:
         """The diagonal of V^T v = diag(coeff) rt, from the squared row norms w of rt."""
         basis = self.basis
         w_null = float(w[basis.null].sum())
-        attainable = math.sqrt(w_null)
-
-        if self.eps == 0.0:
-            if attainable > 1e-9 * max(1.0, float(np.linalg.norm(self.B))):
-                raise InfeasibleProblemError(
-                    "exact consistency demanded but the data has components "
-                    "outside the range of the operator"
-                )
-            return basis.inverse
-        if attainable >= self.eps:
-            if attainable > self.eps * (1.0 + 1e-9):
-                raise InfeasibleProblemError(
-                    f"feasible set is empty: best attainable residual "
-                    f"{attainable:g} exceeds eps = {self.eps:g}"
-                )
-            # boundary case: land on the residual-minimizing affine set
+        if self.eps == 0.0 or math.sqrt(w_null) >= self.eps:
+            # the ball touches the residual-minimizing affine set: land there
             return basis.inverse
         lam = self._solve_multiplier(w[basis.live], basis.d_live, w_null)
         return lam / (1.0 + lam * basis.d)
@@ -455,9 +455,8 @@ class _Batch:
         """Project the two points of every slot onto the slot's ball, in place.
 
         ``points`` holds the stacks of y and z points (P x N x L each) and
-        ``images`` their images under each slot's operator (P x n x L).
-        Returns (slot, error) for each slot whose projection raised. A point
-        inside its ball gets a zero correction; one product with the
+        ``images`` their images under each slot's operator (P x n x L). A
+        point inside its ball gets a zero correction; one product with the
         operators serves every move and is skipped when no point moved. The
         vectorized shrink is :meth:`FeasibilityProjector.basis_correction`'s,
         operation for operation.
@@ -481,14 +480,9 @@ class _Batch:
                 image -= gv
         else:
             r = [image - self.data for image in images]
-        errors = []
         for j in self.looped:
-            try:
-                corrs = [self.projectors[j].basis_correction(r[i][j]) for i in (0, 1)]
-            except SOLVER_ERRORS as exc:
-                errors.append((j, exc))
-                continue
-            for i, corr in enumerate(corrs):
+            for i in (0, 1):
+                corr = self.projectors[j].basis_correction(r[i][j])
                 if corr is not None:
                     V[j, :, i] = corr[0]
                     image = images[i][j]
@@ -498,17 +492,14 @@ class _Batch:
             back = self.operators.apply_left(V.reshape(P, n, 2 * L).transpose(0, 2, 1))
             for i, point in enumerate(points):
                 point -= back[:, i * L : (i + 1) * L].transpose(0, 2, 1)
-        return errors
 
 
 def _step(state, batch):
     """One iteration of every slot of ``batch``; the state's arrays are stacks.
 
-    Returns the new state, the objective at each slot's new y and the
-    (slot, error) pairs of projections that raised. The given state is
-    used up: its iterate, gradient sum and their images are cleared.
-    :func:`nesta_step` and the stages of :func:`nesta_solve_batch` both
-    run on this step.
+    Returns the new state and the objective at each slot's new y. The
+    given state is used up: its iterate, gradient sum and their images are
+    cleared. :func:`nesta_step` runs every iteration on this step.
     """
     ops = batch.operators
     k = state.k
@@ -536,7 +527,7 @@ def _step(state, batch):
     y, z = alpha - mu * grad, state.prox_center - mu * grad_accum
     phi_y, phi_z = phi_alpha - mu * phi_grad, phi_prox - mu * phi_accum
     del alpha, grad, phi_alpha, phi_grad
-    errors = batch.project((y, z), (phi_y, phi_z))
+    batch.project((y, z), (phi_y, phi_z))
     tau = 2.0 / (k + 3)
     objective = huber_objective(y, mu, aggregator, trusted)
     new = NestaState(
@@ -552,7 +543,7 @@ def _step(state, batch):
         phi_accum=phi_accum,
         trusted=trusted,
     )
-    return new, objective, errors
+    return new, objective
 
 
 def _map_arrays(state, fn):
@@ -577,23 +568,27 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
     V^T phi for an uncertified phi): ``operator @ grad``, from which the
     images of both points to project follow by linearity, and one fused
     ``operator^T`` product for the points that leave the ball; none with
-    V. The first step of a stage validates the iterate, builds the
-    trusted-row mask and computes the tracked images exactly; every
-    REFRESH_EVERY iterations the drifting ones are recomputed. This is the
-    batched step of :func:`nesta_solve_batch` run on a batch of one
-    (``batch``, the projector's ``_Batch`` at ``smoothing.mu``, which a
-    stage builds once and passes to each of its steps); a stage that a
-    solve runs alone takes one call of it per iteration.
+    V. The first step of a stage builds the trusted-row mask and computes
+    the tracked images exactly; every REFRESH_EVERY iterations the drifting
+    ones are recomputed.
+
+    Without ``batch`` this is one problem's step: ``state`` holds one
+    iterate, the first step validates it, the projector is built from
+    ``problem`` unless given, and a float is appended to the trace. With
+    ``batch`` (a ``_Batch``) ``state`` is that batch's stacked state, only
+    the two are read, and the objective row of all slots is appended; every
+    iteration of every stage of :func:`nesta_solve_batch` is one such call.
     """
-    if batch is None:
-        if projector is None:
-            projector = _build_projector(problem)
-        batch, _ = _Batch.of([projector], [smoothing.mu], smoothing)
+    if batch is not None:
+        state, objective = _step(state, batch)
+        state.objective_trace.append(objective)
+        return state
+    if projector is None:
+        projector = _build_projector(problem)
+    batch, _ = _Batch.of([projector], [smoothing.mu], smoothing)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
-    new, objective, errors = _step(_map_arrays(state, lambda a: a[None]), batch)
-    if errors:
-        raise errors[0][1]
+    new, objective = _step(_map_arrays(state, lambda a: a[None]), batch)
     state.objective_trace.append(float(objective[0]))
     return _map_arrays(new, lambda a: a[0])
 
@@ -610,7 +605,6 @@ class _Solve:
     trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     stage_iterations: list = field(default_factory=list)
     converged: bool = True
-    error: Exception | None = None
 
 
 def _start(problem, smoothing, cfg, bases):
@@ -640,8 +634,8 @@ def _run_stage(solves, stage, smoothing, cfg):
     spread of its objective over the last STOP_WINDOW iterations drops
     below STOP_TOL, its objective falls under its floor, or
     ``max_inner_iters``; it then leaves the batch, so that it iterates
-    exactly as often as it would alone. A solve whose projection raises
-    leaves with the error recorded.
+    exactly as often as it would alone. Each iteration is one
+    :func:`nesta_step` call on the stacked state, whatever the batch size.
     """
 
     def batch_of(active):
@@ -657,37 +651,31 @@ def _run_stage(solves, stage, smoothing, cfg):
     # always the contiguous rows k % width .. k % width + width - 1
     recent = np.empty((2 * width, len(active)))
     floor = np.array([s.floor for s in active])
-    log, epochs = [], []  # objectives since the batch last changed; (ids, block) before
+    # the state's trace holds the objective rows since the batch last
+    # changed; ``epochs`` the (ids, block) of each batch before
+    epochs = []
     for _ in range(cfg.max_inner_iters):
         # the step reads neither y nor z: let them go before it makes new ones
         state.y = state.z = None
-        state, objective, errors = _step(state, batch)
+        # looked up as a module global on every call, so that a rebinding of
+        # ``nesta_step`` (a tracer's) sees every iteration
+        state = nesta_step(state, None, None, batch=batch)
         k = state.k
-        recent[(k - 1) % width] = recent[(k - 1) % width + width] = objective
-        log.append(objective)
-        if k >= width:
-            # summed oldest first, in the order one problem's test sums it
-            window = recent[k % width : k % width + width]
-            level = np.abs(np.add.accumulate(window)[-1] / width)
-            top = np.maximum.reduce(window)
-            spread = top - np.minimum.reduce(window)
-            leaving = (spread <= STOP_TOL * np.maximum(level, 1e-30)) | (top <= floor)
-        elif errors:
-            leaving = np.zeros(len(active), dtype=bool)
-        else:
+        recent[(k - 1) % width] = recent[(k - 1) % width + width] = state.objective_trace[-1]
+        if k < width:
             continue
-        for j, exc in errors:
-            leaving[j] = True
-            active[j].error = exc
+        # summed oldest first, in the order one problem's test sums it
+        window = recent[k % width : k % width + width]
+        level = np.abs(np.add.accumulate(window)[-1] / width)
+        top = np.maximum.reduce(window)
+        spread = top - np.minimum.reduce(window)
+        leaving = (spread <= STOP_TOL * np.maximum(level, 1e-30)) | (top <= floor)
         if not leaving.any():
             continue
-        epochs.append((ids, np.array(log)))
-        log = []
+        epochs.append((ids, np.array(state.objective_trace)))
         for j in np.flatnonzero(leaving):
-            solve = active[j]
-            if solve.error is None:
-                solve.x = state.y[j].copy()
-                solve.stage_iterations.append(k)
+            active[j].x = state.y[j].copy()
+            active[j].stage_iterations.append(k)
         keep = np.flatnonzero(~leaving)
         if not keep.size:
             break
@@ -698,12 +686,13 @@ def _run_stage(solves, stage, smoothing, cfg):
         taken = keep[order]
         active = [active[j] for j in taken]
         ids = ids[taken]
-        state.y = state.z = None
+        # y is kept: it is the estimate of a slot that meets the cap next
         state = _map_arrays(state, lambda a: a[taken])
+        state.objective_trace = []
         recent, floor = recent[:, taken], floor[taken]
     else:
-        if log:
-            epochs.append((ids, np.array(log)))
+        if state.objective_trace:
+            epochs.append((ids, np.array(state.objective_trace)))
         for j, solve in enumerate(active):
             solve.x = state.y[j].copy()
             solve.stage_iterations.append(state.k)
@@ -721,34 +710,6 @@ def _run_stage(solves, stage, smoothing, cfg):
         before += len(block)
     for solve, piece in zip(solves, np.split(values, starts[1:])):
         solve.trace = np.concatenate([solve.trace, piece])
-
-
-def _run_stage_alone(solve, stage, smoothing, cfg):
-    """Run continuation stage ``stage`` of one solve: :func:`_run_stage` on a
-    batch of one, built once, with one :func:`nesta_step` per iteration and
-    the stop test on Python floats, summed in the same order."""
-    sm = replace(smoothing, mu=solve.schedule[stage])
-    batch, _ = _Batch.of([solve.projector], [sm.mu], sm)
-    state = initial_state(solve.x)
-    trace, width = state.objective_trace, STOP_WINDOW
-    converged = False
-    for _ in range(cfg.max_inner_iters):
-        try:
-            state = nesta_step(state, solve.problem, sm, batch=batch)
-        except SOLVER_ERRORS as exc:
-            solve.error = exc
-            return
-        if len(trace) >= width:
-            window = trace[-width:]
-            top = max(window)
-            level = abs(reduce(add, window) / width)
-            if top - min(window) <= STOP_TOL * max(level, 1e-30) or top <= solve.floor:
-                converged = True
-                break
-    solve.x = state.y
-    solve.stage_iterations.append(state.k)
-    solve.converged = solve.converged and converged
-    solve.trace = np.concatenate([solve.trace, trace])
 
 
 def _zero_data_report(problem):
@@ -802,8 +763,9 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
     bit for bit the one it would get alone. The continuation stages run in
     step: every problem still in a stage iterates on stacked arrays, with
     two stacked products with phi per iteration, until its own stop test
-    removes it from the batch. A problem whose solve raises one of
-    SOLVER_ERRORS gets the error in its place of the returned list; the
+    removes it from the batch. A problem that fails its setup with one of
+    SOLVER_ERRORS (a trusted support out of range, an empty ball) gets the
+    error in its place of the returned list and is not iterated; the
     others are not affected. Each report's ``wall_time`` is its share of
     the call's elapsed time, in proportion to inner iterations.
     """
@@ -827,13 +789,9 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
         else:
             solves[i] = started
     for stage in range(max((len(s.schedule) for s in solves.values()), default=0)):
-        running = [s for s in solves.values() if s.error is None and stage < len(s.schedule)]
-        if len(running) == 1:
-            _run_stage_alone(running[0], stage, smoothing, cfg)
-        elif running:
-            _run_stage(running, stage, smoothing, cfg)
+        _run_stage([s for s in solves.values() if stage < len(s.schedule)], stage, smoothing, cfg)
     for i, solve in solves.items():
-        results[i] = solve.error if solve.error is not None else _report(solve)
+        results[i] = _report(solve)
 
     elapsed = time.perf_counter() - t0
     reports = [r for r in results if isinstance(r, RecoveryReport)]

@@ -154,6 +154,20 @@ def test_solve_smv_eps_is_the_problem_radius(args, eps, capsys):
     assert residual <= eps * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "0.05"), ("--mu-final", "1e-3")])
+def test_solve_iht_rejects_noise_ball_and_smoothing_flags(flag, value, tmp_path, capsys):
+    # IHT has neither, so the flag would be ignored without a word
+    spec_file = tmp_path / "case.txt"
+    spec_file.write_text(
+        "n = 12\nN = 24\nL = 2\nk = 3\nrank = 2\nnoise_sigma = 0.01\n"
+        "matrix_kind = gaussian\nseed = 21\n"
+    )
+    assert main(["solve", "--spec", str(spec_file), "--solver", "iht", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+
+
 def test_solve_loaded_matrices(tmp_path, capsys):
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=2, rank=2, seed=3))
     a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"

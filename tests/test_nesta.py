@@ -18,7 +18,17 @@ from mmvsolve import (
     nesta_solve_batch,
     nesta_step,
 )
-from mmvsolve.nesta import REFRESH_EVERY, STOP_TOL, STOP_WINDOW, _Batch, _step
+from mmvsolve.nesta import (
+    CONTINUATION_STAGES,
+    MU0_FACTOR,
+    MU_FINAL_FACTOR,
+    OBJECTIVE_FLOOR_FACTOR,
+    REFRESH_EVERY,
+    STOP_TOL,
+    STOP_WINDOW,
+    _Batch,
+    _step,
+)
 
 # hand-fixed instance with exact gram A A^T = 2 I
 A_FIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
@@ -248,8 +258,7 @@ def test_uncertified_step_makes_no_product_with_the_eigenvectors(batch_size):
         state = initial_state(np.zeros((batch_size, 16, 2)))
 
         def step(state):
-            new, _, errors = _step(state, batch)
-            assert not errors
+            new, _ = _step(state, batch)
             return new
 
     for k in range(REFRESH_EVERY + 2):
@@ -497,6 +506,15 @@ def test_config_rejects_non_finite_radius_and_smoothing(value):
         NestaConfig(mu_final=value)
 
 
+# a final smoothing that gives five of ``batch_problems()`` a one-stage
+# schedule and one the full CONTINUATION_STAGES, so the later stages run
+# that problem alone in the batch
+MIXED_SCHEDULES = NestaConfig(mu_final=35.5)
+# a cap at which the first problem's first stage meets its stop test on the
+# last iteration while others go on to the cap
+CAPPED = NestaConfig(max_inner_iters=54)
+
+
 def batch_problems():
     """Problems of one shape: certified and Gaussian operators, noiseless and
     noisy radii, two right-hand sides sharing one operator, and zero data."""
@@ -512,14 +530,30 @@ def batch_problems():
     return [certified, noisy, gaussian, shared, gaussian_exact, zero]
 
 
-@pytest.mark.parametrize("known_support", [(), (2, 7)])
-def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support):
+@pytest.mark.parametrize(
+    "known_support,cfg",
+    [
+        ((), None),
+        ((2, 7), None),
+        ((), MIXED_SCHEDULES),
+        ((2, 7), MIXED_SCHEDULES),
+        ((), CAPPED),
+    ],
+    ids=[
+        "known_support0",
+        "known_support1",
+        "known_support0-mixed",
+        "known_support1-mixed",
+        "known_support0-capped",
+    ],
+)
+def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support, cfg):
     problems = batch_problems()
     sm = SmoothingConfig(known_support=SupportSet(known_support))
-    batched = nesta_solve_batch(problems, sm)
+    batched = nesta_solve_batch(problems, sm, cfg)
     assert len(batched) == len(problems)
     for problem, report in zip(problems, batched):
-        alone = nesta_solve(problem, sm)
+        alone = nesta_solve(problem, sm, cfg)
         assert np.array_equal(report.estimate, alone.estimate)
         assert report.stage_iterations == alone.stage_iterations
         assert np.array_equal(report.objective_trace, alone.objective_trace)
@@ -528,6 +562,41 @@ def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support):
         assert report.converged == alone.converged
     # the problems stop at different iterations, so the batch shrank
     assert len({tuple(r.stage_iterations) for r in batched}) > 2
+
+
+@pytest.mark.parametrize("index", [0, 2], ids=["certified", "gaussian-noisy"])
+def test_nesta_solve_is_its_documented_schedule_of_nesta_steps(index):
+    # a reference written with public calls on one unstacked iterate: the
+    # geometric schedule from MU0_FACTOR to MU_FINAL_FACTOR times the data
+    # scale, each stage warm-started at the last y and stopped on Python
+    # floats by the window spread, the objective floor or the cap
+    problem = batch_problems()[index]
+    cfg = NestaConfig()
+    corr = problem.phi.T @ problem.B
+    scale = float(np.sqrt((corr * corr).sum(axis=1)).max())
+    mu0, mu_final = MU0_FACTOR * scale, MU_FINAL_FACTOR * scale
+    ratio = (mu_final / mu0) ** (1.0 / CONTINUATION_STAGES)
+    floor = OBJECTIVE_FLOOR_FACTOR * scale
+    gram_scale = problem.A.row_gram_scale if problem.A.row_orthonormal else None
+    projector = FeasibilityProjector(problem.phi, problem.B, problem.epsilon, gram_scale)
+    x, stage_iterations, trace = projector(corr), [], []
+    for stage in range(CONTINUATION_STAGES):
+        sm = SmoothingConfig(mu=mu0 * ratio ** (stage + 1))
+        state = initial_state(x)
+        for _ in range(cfg.max_inner_iters):
+            state = nesta_step(state, problem, sm, projector=projector)
+            window = state.objective_trace[-STOP_WINDOW:]
+            if len(window) == STOP_WINDOW:
+                top, level = max(window), abs(sum(window) / STOP_WINDOW)
+                if top - min(window) <= STOP_TOL * max(level, 1e-30) or top <= floor:
+                    break
+        x = state.y
+        stage_iterations.append(state.k)
+        trace += state.objective_trace
+    report = nesta_solve(problem, cfg=cfg)
+    assert report.stage_iterations == stage_iterations
+    assert np.array_equal(report.objective_trace, np.array(trace))
+    assert np.array_equal(report.estimate, problem.signal_from_coefficients(x))
 
 
 def test_batch_records_an_infeasible_problem_and_solves_the_rest():
@@ -563,8 +632,9 @@ def test_a_lone_solve_takes_one_nesta_step_per_iteration(monkeypatch):
     report = nesta_solve(problem)
     assert len(calls) == report.inner_iterations > 0
     calls.clear()
-    nesta_solve_batch(batch_problems()[:2])  # both run every stage together
-    assert calls == []
+    # a batched iteration is one call for all the problems still in the stage
+    batched = nesta_solve_batch(batch_problems()[:2])
+    assert len(calls) == sum(max(s) for s in zip(*(r.stage_iterations for r in batched)))
 
 
 def test_batch_wall_time_is_a_share_in_proportion_to_iterations():

@@ -133,7 +133,7 @@ def test_project_images_leaves_feasible_points_alone():
     batch, _ = nesta._Batch.of([proj], [0.1], SmoothingConfig(mu=0.1))
     points = [q[None].copy(), q[None].copy()]
     images = [image[None].copy(), image[None].copy()]
-    assert batch.project(points, images) == []
+    batch.project(points, images)
     for point, point_image in zip(points, images):
         assert np.array_equal(point[0], q)
         assert np.array_equal(point_image[0], image)
@@ -164,15 +164,19 @@ def test_projection_idempotent():
             assert np.abs(twice - once).max() <= 1e-12
 
 
-def test_infeasible_exact_problem_raises():
-    # B outside the range of phi with eps = 0 has no solution
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_infeasible_exact_problem_raises(eps):
+    # B has a component of length 1 outside the range of phi, so no point
+    # is within eps < 1 of it; building the projector raises
     phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T  # 3 x 2
     with pytest.warns(UserWarning):
         A = MeasurementMatrix.from_entries(phi)
     B = np.array([[0.0], [0.0], [1.0]])
-    proj = FeasibilityProjector(phi, B, eps=0.0)
-    with pytest.raises(InfeasibleProblemError):
-        proj(np.zeros((2, 1)))
+    with pytest.raises(InfeasibleProblemError) as built:
+        FeasibilityProjector(phi, B, eps=eps)
+    with pytest.raises(InfeasibleProblemError) as wrapped:
+        project_feasible(np.zeros((2, 1)), MmvProblem(A=A, B=B, epsilon=eps))
+    assert str(wrapped.value) == str(built.value)
     assert A.n == 3
 
 
