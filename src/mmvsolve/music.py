@@ -72,16 +72,6 @@ def music_scores(problem, r):
     return _subspace_scores(problem.phi, U[:, : int(r)])
 
 
-def _rank_and_scores(problem, delta):
-    """``estimate_rank(B, delta)`` and, if it is positive, the MUSIC scores.
-
-    Both come from one thin SVD of B; the scores are None when the rank is 0.
-    """
-    U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
-    r = _signal_rank(sv, delta)
-    return r, (_subspace_scores(problem.phi, U[:, :r]) if r else None)
-
-
 def music_support(problem, k, delta=MUSIC_DELTA):
     """Select the k most subspace-consistent columns as a support estimate.
 
@@ -92,10 +82,13 @@ def music_support(problem, k, delta=MUSIC_DELTA):
     if int(k) != k or not 1 <= k < problem.N:
         raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
     k = int(k)
-    r, scores = _rank_and_scores(problem, delta)
-    if r == 0:
+    # the rank and the scores come from one thin SVD of B
+    U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
+    r = _signal_rank(sv, delta)
+    if r:
+        scores = _subspace_scores(problem.phi, U[:, :r])
+    else:
         # no signal subspace at all; every column is equally implausible
         scores = np.ones(problem.N)
-    order = np.argsort(scores, kind="stable")
-    chosen = SupportSet(tuple(sorted(int(i) for i in order[:k])))
+    chosen = SupportSet.from_indices(np.argsort(scores, kind="stable")[:k])
     return MusicResult(rank=r, scores=scores, support=chosen)

@@ -48,9 +48,10 @@ result does not depend on the batch it is in. One stage loop serves
 batches of every size, ``nesta_solve``'s batch of one included, and each
 of its iterations is one ``nesta_step`` call on the stacked state.
 
-An outer refinement loop alternates full solves with hard-threshold support
-updates: rows the threshold keeps become trusted (unpenalized) in the next
-solve, optionally seeded by MUSIC subspace detection.
+``iterative_nesta`` alternates full solves with hard thresholding: the k
+strongest rows of each estimate become trusted (unpenalized) in the next
+solve, for at most MAX_OUTER solves. Its first solve trusts no row, or
+with MUSIC the min(rank, k) best-scored rows of ``music_support``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .core import (
     row_norms,
     row_support,
 )
-from .music import MUSIC_DELTA, _rank_and_scores
+from .music import music_support
 from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
 
 # Continuation constants: first stage smoothing as a fraction of the data
@@ -103,6 +104,9 @@ REFRESH_EVERY = 100
 
 # Newton steps allowed per multiplier solve on the general projector path.
 MULTIPLIER_MAX_STEPS = 200
+
+# Solve passes allowed to :func:`iterative_nesta` before it stops unconverged.
+MAX_OUTER = 10
 
 
 @dataclass(frozen=True)
@@ -612,9 +616,12 @@ def _start(problem, smoothing, cfg, bases):
     the final report when the data is zero; ``bases`` as in
     :func:`_build_projector`."""
     smoothing.known_support.validate_for(problem.N)
+    projector = _build_projector(problem, bases)
     corr = problem.phi.T @ problem.B
     scale = float(row_norms(corr, 2).max())
     if scale == 0.0:
+        # B is orthogonal to the range, so the projector found ||B|| within
+        # the ball's slack: zero is the answer
         return _zero_data_report(problem)
     mu_final = MU_FINAL_FACTOR * scale if cfg.mu_final is None else cfg.mu_final
     mu0 = MU0_FACTOR * scale
@@ -623,7 +630,6 @@ def _start(problem, smoothing, cfg, bases):
     else:
         ratio = (mu_final / mu0) ** (1.0 / CONTINUATION_STAGES)
         schedule = [mu0 * ratio ** (i + 1) for i in range(CONTINUATION_STAGES)]
-    projector = _build_projector(problem, bases)
     return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
 
@@ -714,17 +720,11 @@ def _run_stage(solves, stage, smoothing, cfg):
 
 def _zero_data_report(problem):
     alpha = np.zeros((problem.N, problem.L))
-    resid = float(np.linalg.norm(problem.B))
-    if resid > problem.epsilon:
-        raise InfeasibleProblemError(
-            "measurements are orthogonal to the operator range and exceed "
-            "the noise radius"
-        )
     return RecoveryReport(
         estimate=problem.signal_from_coefficients(alpha),
         inner_iterations=0,
         outer_iterations=1,
-        final_residual=resid,
+        final_residual=float(np.linalg.norm(problem.B)),
         final_objective=0.0,
         detected_support=SupportSet(),
         objective_trace=np.empty(0),
@@ -819,66 +819,34 @@ def nesta_solve(problem, smoothing=None, cfg=None):
     return report
 
 
-def _music_seed(problem, k):
-    """Conservative trusted-support seed: min(rank, k) best-scored rows."""
-    r, scores = _rank_and_scores(problem, MUSIC_DELTA)
-    if r == 0:
-        return SupportSet()
-    size = min(r, k)
-    order = np.argsort(scores, kind="stable")
-    return SupportSet(tuple(sorted(int(i) for i in order[:size])))
-
-
-def _refine_support(alpha, k, mode, cutoff_fraction):
-    if mode == "largest-k":
-        return hard_threshold_rows(alpha, k)[1]
-    if mode == "cutoff":
-        norms = row_norms(alpha, 2)
-        top = norms.max()
-        return row_support(alpha, cutoff_fraction * top) if top > 0 else SupportSet()
-    raise InvalidArgumentError(
-        f"unknown threshold mode {mode!r}; use 'largest-k' or 'cutoff'"
-    )
-
-
-def iterative_nesta(
-    problem,
-    k,
-    smoothing=None,
-    cfg=None,
-    use_music=False,
-    max_outer=10,
-    threshold_mode="largest-k",
-    cutoff_fraction=0.1,
-):
+def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     """Alternate full solves with hard-threshold support refinement.
 
-    Each pass solves with the current trusted support, thresholds the
-    coefficient estimate (keep the k strongest rows, or with
-    ``threshold_mode="cutoff"`` every row above ``cutoff_fraction`` of the
-    strongest), and repeats until the support stops changing or max_outer
-    passes. With ``use_music`` the first pass is seeded by subspace
-    detection, sized min(estimated rank, k) since trusted rows are taken
-    at face value.
+    Each pass solves with the current trusted support and keeps the k
+    strongest rows of the coefficient estimate as the next pass's trusted
+    support, until the support stops changing or MAX_OUTER passes. With
+    ``use_music`` the first pass trusts the min(rank, k) best-scored rows
+    of :func:`music_support`, since trusted rows are taken at face value.
     """
     if int(k) != k or not 1 <= k < problem.N:
         raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
     k = int(k)
-    if max_outer < 1:
-        raise InvalidArgumentError("max_outer must be >= 1")
-    if not 0 < cutoff_fraction < 1:
-        raise InvalidArgumentError("cutoff_fraction must lie in (0, 1)")
     t0 = time.perf_counter()
     base = SmoothingConfig() if smoothing is None else smoothing
 
-    support = _music_seed(problem, k) if use_music else SupportSet()
+    support = SupportSet()
+    if use_music:
+        music = music_support(problem, k)
+        support = SupportSet.from_indices(
+            np.argsort(music.scores, kind="stable")[: min(music.rank, k)]
+        )
     total_inner = 0
     traces = []
     stage_iters = []
     outer = 0
     stabilized = False
     report = None
-    while outer < max_outer:
+    while outer < MAX_OUTER:
         stage = replace(base, known_support=support)
         report = nesta_solve(problem, stage, cfg)
         outer += 1
@@ -886,7 +854,7 @@ def iterative_nesta(
         traces.append(report.objective_trace)
         stage_iters.extend(report.stage_iterations)
         alpha_hat = problem.coefficients_from_signal(report.estimate)
-        new_support = _refine_support(alpha_hat, k, threshold_mode, cutoff_fraction)
+        new_support = hard_threshold_rows(alpha_hat, k)[1]
         if new_support == support:
             stabilized = True
             break

@@ -14,10 +14,13 @@ from mmvsolve import (
     gen_instance,
     initial_state,
     iterative_nesta,
+    music_support,
     nesta_solve,
     nesta_solve_batch,
     nesta_step,
+    project_feasible,
 )
+from mmvsolve import nesta
 from mmvsolve.nesta import (
     CONTINUATION_STAGES,
     MU0_FACTOR,
@@ -298,6 +301,31 @@ def test_zero_data_returns_zero_estimate():
     assert report.converged and report.inner_iterations == 0
 
 
+def zero_correlation_problem(eps):
+    # phi^T B = 0 and ||B|| = 1: B lies wholly outside the range of phi
+    phi = np.zeros((3, 4))
+    phi[0, 0] = phi[1, 1] = 1.0
+    A = MeasurementMatrix.from_entries(phi)
+    return MmvProblem(A=A, B=np.array([[0.0], [0.0], [1.0]]), epsilon=eps)
+
+
+def test_zero_correlation_data_feasible_within_projector_slack():
+    # ||B|| is just above eps but within the projector's slack, so the ball
+    # is not empty and zero is the answer
+    report = nesta_solve(zero_correlation_problem(1.0 / (1.0 + 1e-10)))
+    assert np.array_equal(report.estimate, np.zeros((4, 1)))
+    assert report.converged and report.inner_iterations == 0
+
+
+def test_zero_correlation_data_infeasible_raises_projector_error():
+    problem = zero_correlation_problem(0.5)
+    with pytest.raises(InfeasibleProblemError) as solved:
+        nesta_solve(problem)
+    with pytest.raises(InfeasibleProblemError) as projected:
+        project_feasible(np.zeros((4, 1)), problem)
+    assert str(solved.value) == str(projected.value)
+
+
 def test_noiseless_single_row_recovery_matches_pinv_oracle():
     inst = gen_instance(ProblemSpec(n=10, N=20, L=3, k=1, rank=1, seed=4))
     report = nesta_solve(inst.problem)
@@ -458,22 +486,43 @@ def test_iterative_nesta_stops_on_first_pass_with_full_seed():
     assert report.converged
 
 
-def test_iterative_nesta_cutoff_threshold_mode():
-    inst = gen_instance(ProblemSpec(n=12, N=24, L=4, k=3, rank=3, seed=9))
-    report = iterative_nesta(inst.problem, 3, threshold_mode="cutoff")
-    assert report.detected_support == inst.support_true
-    with pytest.raises(InvalidArgumentError):
-        iterative_nesta(inst.problem, 3, threshold_mode="soft")
-    with pytest.raises(InvalidArgumentError):
-        iterative_nesta(inst.problem, 3, cutoff_fraction=1.5)
-
-
 def test_iterative_nesta_boundary_k():
     inst = gen_instance(ProblemSpec(n=8, N=10, L=2, k=2, rank=2, seed=1))
-    report = iterative_nesta(inst.problem, 9, max_outer=4)
+    report = iterative_nesta(inst.problem, 9)
     assert report.final_residual <= inst.problem.epsilon + 1e-6
     assert len(report.detected_support) == 9
     assert report.outer_iterations <= 4
+
+
+def test_iterative_nesta_stops_at_pass_cap(monkeypatch):
+    # the boundary-k instance takes 2 passes; capped at 1 it stops unconverged
+    inst = gen_instance(ProblemSpec(n=8, N=10, L=2, k=2, rank=2, seed=1))
+    assert iterative_nesta(inst.problem, 9).outer_iterations == 2
+    monkeypatch.setattr(nesta, "MAX_OUTER", 1)
+    report = iterative_nesta(inst.problem, 9)
+    assert report.outer_iterations == 1
+    assert report.converged is False
+    assert len(report.detected_support) == 9
+
+
+def test_iterative_nesta_music_seed_trusts_best_scored_rows(monkeypatch):
+    # rank-deficient data: the seed is the rank-many lowest MUSIC scores,
+    # not music_support's k rows
+    inst = gen_instance(ProblemSpec(n=16, N=32, L=4, k=8, rank=2, seed=3))
+    music = music_support(inst.problem, 8)
+    assert music.rank == 2
+    seeds = []
+    solve = nesta.nesta_solve
+
+    def spy(problem, smoothing=None, cfg=None):
+        seeds.append(smoothing.known_support)
+        return solve(problem, smoothing, cfg)
+
+    monkeypatch.setattr(nesta, "nesta_solve", spy)
+    iterative_nesta(inst.problem, 8, use_music=True)
+    lowest = np.argsort(music.scores, kind="stable")[:2]
+    assert seeds[0] == SupportSet.from_indices(lowest)
+    assert len(seeds[0]) == 2 and set(seeds[0]) < set(music.support)
 
 
 def test_solve_with_sparsifying_transform():

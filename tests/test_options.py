@@ -48,16 +48,7 @@ def test_call_parameters():
     assert parameters(solve_problems) == ["solver", "problems", "k", "cfg", "use_music"]
     assert parameters(nesta_step) == ["state", "problem", "smoothing", "projector", "batch"]
     assert parameters(project_feasible) == ["q", "problem"]
-    assert parameters(iterative_nesta) == [
-        "problem",
-        "k",
-        "smoothing",
-        "cfg",
-        "use_music",
-        "max_outer",
-        "threshold_mode",
-        "cutoff_fraction",
-    ]
+    assert parameters(iterative_nesta) == ["problem", "k", "smoothing", "cfg", "use_music"]
 
 
 def test_radius_lives_only_on_the_problem():
