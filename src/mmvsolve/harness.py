@@ -78,23 +78,24 @@ def _column_problems(problem):
 
 def _stacked_columns(problem, reports):
     """The per-channel report of ``problem`` from its column reports, or the
-    first column's error."""
+    first column's error. Its final objective and restarts are the sums of
+    the columns'."""
     for report in reports:
         if isinstance(report, Exception):
             return report
     estimate = np.column_stack([r.estimate[:, 0] for r in reports])
     alpha_hat = problem.coefficients_from_signal(estimate)
-    trace = np.concatenate([r.objective_trace for r in reports])
     return RecoveryReport(
         estimate=estimate,
         inner_iterations=sum(r.inner_iterations for r in reports),
         outer_iterations=1,
         final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
-        final_objective=float(trace[-1]) if len(trace) else 0.0,
+        final_objective=sum(r.final_objective for r in reports),
         detected_support=detected_support(alpha_hat),
-        objective_trace=trace,
+        objective_trace=np.concatenate([r.objective_trace for r in reports]),
         wall_time=sum(r.wall_time for r in reports),
         converged=all(r.converged for r in reports),
+        restarts=sum(r.restarts for r in reports),
     )
 
 

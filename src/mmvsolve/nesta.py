@@ -19,6 +19,15 @@ each stage from the previous stage's y and re-anchoring the prox center
 there; without that reset the z-step drags toward a stale anchor and the
 later stages stall.
 
+Within a stage the scheme restarts adaptively (function-value restart,
+O'Donoghue & Candès, arXiv:1204.3982): when the objective at y_k is higher
+than at y_{k-1}, y_k becomes alpha and the prox center, the gradient sum
+is zeroed and the momentum counter k returns to 0, exactly as at a stage
+start. k therefore counts iterations since the last restart, while the
+stage's own iteration count runs on: it drives the stop window, the
+REFRESH_EVERY schedule and the report's ``stage_iterations``, and the
+report's ``restarts`` counts the restarts.
+
 An iteration makes two products with the operator. The state carries the
 images phi alpha_k, phi alpha_0 and phi sum_i (i+1)/2 grad f(alpha_i), so
 one forward product phi grad f(alpha_k) gives the images of both points to
@@ -43,8 +52,9 @@ The iteration runs on arrays with a leading problem axis, so problems of
 one shape are solved together (``nesta_solve_batch``): each product with
 phi is one stacked product for the whole batch, the continuation stages
 run in step, and a problem leaves the batch when its own stop test fires.
-Every operation treats each problem as it would alone, so a problem's
-result does not depend on the batch it is in. One stage loop serves
+Each problem keeps its own momentum counter and restarts on its own
+objective. Every operation treats each problem as it would alone, so a
+problem's result does not depend on the batch it is in. One stage loop serves
 batches of every size, ``nesta_solve``'s batch of one included, and each
 of its iterations is one ``nesta_step`` call on the stacked state.
 
@@ -133,16 +143,22 @@ class NestaConfig:
 
 @dataclass(eq=False)
 class NestaState:
-    """One solver iterate: counter, points, gradient history, trace.
+    """One solver iterate: counters, points, gradient history, trace.
 
-    The last four fields belong to the running stage and are filled by its
-    first :func:`nesta_step`: the images of ``alpha``, ``prox_center`` and
-    ``grad_accum`` under the projector's ``operator`` (phi in the
-    projector's basis), tracked by linearity, and the trusted-row mask of
-    the stage's smoothing config (None when no row is trusted).
+    ``k`` is the momentum counter, which sets tau_k and the history weight
+    (k+1)/2: an int for one problem, one int per slot for a stacked state.
+    A stage start sets it to 0, and so does a restart of that slot.
+    ``iteration`` counts the stage's iterations, restarts or not, and is
+    shared by every slot; it schedules the REFRESH_EVERY recomputations.
+
+    The images of ``alpha``, ``prox_center`` and ``grad_accum`` under the
+    projector's ``operator`` (phi in the projector's basis), tracked by
+    linearity, and the trusted-row mask of the stage's smoothing config
+    (None when no row is trusted) belong to the running stage and are
+    filled by its first :func:`nesta_step`.
     """
 
-    k: int
+    k: int | np.ndarray
     alpha: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -153,6 +169,7 @@ class NestaState:
     phi_prox: np.ndarray | None = None
     phi_accum: np.ndarray | None = None
     trusted: np.ndarray | None = None
+    iteration: int = 0
 
 
 @dataclass(eq=False)
@@ -161,7 +178,10 @@ class RecoveryReport:
 
     ``objective_trace`` is a float array that concatenates all continuation
     stages (and outer passes); ``stage_iterations`` records the per-stage
-    segment lengths.
+    segment lengths, each counting the stage's iterations across its
+    restarts. ``restarts`` is the number of adaptive restarts of the
+    accelerated scheme, summed over stages (and passes, and columns for
+    the per-channel baseline); 0 for a solver without momentum.
     """
 
     estimate: np.ndarray
@@ -174,6 +194,7 @@ class RecoveryReport:
     wall_time: float
     converged: bool
     stage_iterations: list = field(default_factory=list)
+    restarts: int = 0
 
 
 class _Eigenbasis:
@@ -340,10 +361,11 @@ def project_feasible(q, problem):
 
 
 def initial_state(alpha0):
-    """Fresh solver state anchored at alpha0 (also the prox center)."""
+    """Fresh solver state anchored at alpha0 (also the prox center); a
+    stack of iterates (P x N x L) gets one momentum counter per slot."""
     alpha0 = np.array(alpha0, dtype=float)
     return NestaState(
-        k=0,
+        k=np.zeros(len(alpha0), dtype=int) if alpha0.ndim == 3 else 0,
         alpha=alpha0,
         y=alpha0,
         z=alpha0,
@@ -369,6 +391,8 @@ class _Operators:
         self.stack = stack
         self.layers = layers
         self.order = order
+        # the position in ``stack`` of each slot's operator
+        self.index = [j for size in layers for j in range(size)]
         # one stacked product serves every slot: one slot per operator, or
         # one operator broadcast over every slot
         self.flat = len(stack) == 1 or len(layers) == 1
@@ -399,6 +423,12 @@ class _Operators:
         if self.flat:
             return np.matmul(Y, self.stack)
         return self._layered(Y, left=True)
+
+    def apply_slot(self, j, x):
+        """phi @ x for slot j alone, as a stack of one: the product
+        :meth:`apply` makes for a batch of that one slot."""
+        i = self.index[j]
+        return np.matmul(self.stack[i : i + 1], x[None])[0]
 
     def _layered(self, X, left):
         shape = list(X.shape)
@@ -432,9 +462,7 @@ class _Batch:
     def __init__(self, operators, projectors, mu, data, smoothing):
         self.operators = operators
         self.projectors = projectors
-        # each slot's mu shaped to broadcast over the stacks; one slot's is a
-        # plain float, which numpy applies faster
-        self.mu = mu[:, None, None] if len(mu) > 1 else float(mu[0])
+        self.mu = _per_slot(mu)
         self.data = data
         self.smoothing = smoothing
         self.shrunk = sum(p.gram_scale is not None for p in projectors) > 1
@@ -498,6 +526,12 @@ class _Batch:
                 point -= back[:, i * L : (i + 1) * L].transpose(0, 2, 1)
 
 
+def _per_slot(values):
+    """One value per slot shaped to broadcast over the stacks; one slot's is
+    a plain float, which numpy applies faster."""
+    return values[:, None, None] if len(values) > 1 else float(values[0])
+
+
 def _step(state, batch):
     """One iteration of every slot of ``batch``; the state's arrays are stacks.
 
@@ -506,13 +540,13 @@ def _step(state, batch):
     cleared. :func:`nesta_step` runs every iteration on this step.
     """
     ops = batch.operators
-    k = state.k
+    k = _per_slot(state.k)
     if state.phi_alpha is None:
         trusted = trusted_rows(batch.smoothing.known_support, state.alpha.shape[1])
         phi_prox = ops.apply(state.prox_center)
     else:
         trusted, phi_prox = state.trusted, state.phi_prox
-    if state.phi_alpha is None or k % REFRESH_EVERY == 0:
+    if state.phi_alpha is None or state.iteration % REFRESH_EVERY == 0:
         phi_alpha, phi_accum = ops.apply(state.alpha), ops.apply(state.grad_accum)
     else:
         phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
@@ -535,7 +569,7 @@ def _step(state, batch):
     tau = 2.0 / (k + 3)
     objective = huber_objective(y, mu, aggregator, trusted)
     new = NestaState(
-        k=k + 1,
+        k=state.k + 1,
         alpha=tau * z + (1.0 - tau) * y,
         y=y,
         z=z,
@@ -546,6 +580,7 @@ def _step(state, batch):
         phi_prox=phi_prox,
         phi_accum=phi_accum,
         trusted=trusted,
+        iteration=state.iteration + 1,
     )
     return new, objective
 
@@ -557,24 +592,27 @@ def _map_arrays(state, fn):
         for a in (state.alpha, state.y, state.z, state.prox_center, state.grad_accum)
         + (state.phi_alpha, state.phi_prox, state.phi_accum)
     ]
-    return NestaState(state.k, *arrays[:5], state.objective_trace, *arrays[5:], state.trusted)
+    k, trace, trusted = fn(np.asarray(state.k)), state.objective_trace, state.trusted
+    return NestaState(k, *arrays[:5], trace, *arrays[5:], trusted, state.iteration)
 
 
 def nesta_step(state, problem, smoothing, projector=None, batch=None):
     """Advance the solver by one iteration; returns the new state.
 
-    Weights follow the accelerated scheme exactly: history weight
-    (k+1)/2 at iteration k, combination factor tau_k = 2/(k+3). The
-    objective at the new y is appended to the trace (a list shared
-    with the input state).
+    Weights follow the accelerated scheme exactly: history weight (k+1)/2
+    and combination factor tau_k = 2/(k+3), with k the state's momentum
+    counter, taken per slot for a stacked state. Both counters advance by
+    one. The step never restarts: :func:`nesta_solve_batch`'s stage loop
+    does, between steps. The objective at the new y is appended to the
+    trace (a list shared with the input state).
 
     The step makes two products with the projector's operator (phi, or
     V^T phi for an uncertified phi): ``operator @ grad``, from which the
     images of both points to project follow by linearity, and one fused
     ``operator^T`` product for the points that leave the ball; none with
     V. The first step of a stage builds the trusted-row mask and computes
-    the tracked images exactly; every REFRESH_EVERY iterations the drifting
-    ones are recomputed.
+    the tracked images exactly; every REFRESH_EVERY stage iterations (the
+    state's ``iteration``, not k) the drifting ones are recomputed.
 
     Without ``batch`` this is one problem's step: ``state`` holds one
     iterate, the first step validates it, the projector is built from
@@ -594,7 +632,9 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
         as_matrix(state.alpha, "coefficients")
     new, objective = _step(_map_arrays(state, lambda a: a[None]), batch)
     state.objective_trace.append(float(objective[0]))
-    return _map_arrays(new, lambda a: a[0])
+    new = _map_arrays(new, lambda a: a[0])
+    new.k = int(new.k)
+    return new
 
 
 @dataclass(eq=False)
@@ -608,6 +648,7 @@ class _Solve:
     x: np.ndarray
     trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     stage_iterations: list = field(default_factory=list)
+    restarts: int = 0
     converged: bool = True
 
 
@@ -633,6 +674,19 @@ def _start(problem, smoothing, cfg, bases):
     return _Solve(problem, projector, schedule, OBJECTIVE_FLOOR_FACTOR * scale, projector(corr))
 
 
+def _restart(state, batch, slots):
+    """Restart the given slots of a stacked state at their y, as a stage
+    start would: y becomes the iterate and the prox center, the gradient
+    sum and k go to 0, and the slot's images are computed exactly."""
+    ops = batch.operators
+    for j in slots:
+        state.alpha[j] = state.prox_center[j] = state.y[j]
+        state.grad_accum[j] = 0.0
+        state.k[j] = 0
+        state.phi_alpha[j] = state.phi_prox[j] = ops.apply_slot(j, state.y[j])
+        state.phi_accum[j] = ops.apply_slot(j, state.grad_accum[j])
+
+
 def _run_stage(solves, stage, smoothing, cfg):
     """Run continuation stage ``stage`` of the given solves as one batch.
 
@@ -642,6 +696,9 @@ def _run_stage(solves, stage, smoothing, cfg):
     ``max_inner_iters``; it then leaves the batch, so that it iterates
     exactly as often as it would alone. Each iteration is one
     :func:`nesta_step` call on the stacked state, whatever the batch size.
+    A solve whose objective at y rises from one iteration to the next is
+    restarted there (:func:`_restart`); the stage's iteration count, which
+    the stop window and ``stage_iterations`` read, runs on.
     """
 
     def batch_of(active):
@@ -666,12 +723,20 @@ def _run_stage(solves, stage, smoothing, cfg):
         # looked up as a module global on every call, so that a rebinding of
         # ``nesta_step`` (a tracer's) sees every iteration
         state = nesta_step(state, None, None, batch=batch)
-        k = state.k
-        recent[(k - 1) % width] = recent[(k - 1) % width + width] = state.objective_trace[-1]
-        if k < width:
+        it = state.iteration
+        objective = state.objective_trace[-1]
+        if it > 1:
+            rose = objective > recent[(it - 2) % width]
+            if rose.any():
+                slots = np.flatnonzero(rose)
+                for j in slots:
+                    active[j].restarts += 1
+                _restart(state, batch, slots)
+        recent[(it - 1) % width] = recent[(it - 1) % width + width] = objective
+        if it < width:
             continue
         # summed oldest first, in the order one problem's test sums it
-        window = recent[k % width : k % width + width]
+        window = recent[it % width : it % width + width]
         level = np.abs(np.add.accumulate(window)[-1] / width)
         top = np.maximum.reduce(window)
         spread = top - np.minimum.reduce(window)
@@ -681,7 +746,7 @@ def _run_stage(solves, stage, smoothing, cfg):
         epochs.append((ids, np.array(state.objective_trace)))
         for j in np.flatnonzero(leaving):
             active[j].x = state.y[j].copy()
-            active[j].stage_iterations.append(k)
+            active[j].stage_iterations.append(it)
         keep = np.flatnonzero(~leaving)
         if not keep.size:
             break
@@ -701,7 +766,7 @@ def _run_stage(solves, stage, smoothing, cfg):
             epochs.append((ids, np.array(state.objective_trace)))
         for j, solve in enumerate(active):
             solve.x = state.y[j].copy()
-            solve.stage_iterations.append(state.k)
+            solve.stage_iterations.append(state.iteration)
             solve.converged = False
     # each solve's objectives in iteration order, as views of one array: a
     # solve in a block has logged exactly the iterations before that block
@@ -752,6 +817,7 @@ def _report(solve):
         wall_time=0.0,
         converged=solve.converged,
         stage_iterations=solve.stage_iterations,
+        restarts=solve.restarts,
     )
 
 
@@ -840,7 +906,7 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
         support = SupportSet.from_indices(
             np.argsort(music.scores, kind="stable")[: min(music.rank, k)]
         )
-    total_inner = 0
+    total_inner = restarts = 0
     traces = []
     stage_iters = []
     outer = 0
@@ -851,6 +917,7 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
         report = nesta_solve(problem, stage, cfg)
         outer += 1
         total_inner += report.inner_iterations
+        restarts += report.restarts
         traces.append(report.objective_trace)
         stage_iters.extend(report.stage_iterations)
         alpha_hat = problem.coefficients_from_signal(report.estimate)
@@ -871,4 +938,5 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
         wall_time=time.perf_counter() - t0,
         converged=stabilized and report.converged,
         stage_iterations=stage_iters,
+        restarts=restarts,
     )

@@ -50,17 +50,17 @@ def test_solve_spec_file_and_dump(tmp_path, capsys):
 # ``mmvsolve solve`` output on fixed seeds, wall_time_s removed: the four
 # solvers, a noisy Gaussian spec file and a loaded operator/data pair
 SOLVE_PIN = [
-    "solver=nesta rel_error=8.567744801054063e-05 residual=4.031730240309769e-16 "
-    "support_exact=1 inner_iters=103 outer_iters=1",
-    "solver=iterative-nesta rel_error=1.38815160347228e-16 residual=3.3551543220757213e-16 "
-    "support_exact=1 inner_iters=183 outer_iters=2",
+    "solver=nesta rel_error=8.571448642393181e-05 residual=3.0006203508625224e-16 "
+    "support_exact=1 inner_iters=97 outer_iters=1",
+    "solver=iterative-nesta rel_error=6.045857596555116e-17 residual=7.505561329662603e-17 "
+    "support_exact=1 inner_iters=166 outer_iters=2",
     "solver=iht rel_error=1.196228098426972e-16 residual=2.0074880843059296e-16 "
     "support_exact=1 inner_iters=1 outer_iters=1",
-    "solver=smv rel_error=8.495822047747044e-05 residual=5.837338052663317e-16 "
-    "support_exact=1 inner_iters=315 outer_iters=1",
-    "solver=nesta rel_error=0.01479273544025275 residual=0.05388877434122699 "
-    "support_exact=0 inner_iters=171 outer_iters=1",
-    "solver=nesta residual=2.9543440893637213e-16 inner_iters=574 outer_iters=1",
+    "solver=smv rel_error=8.495607772136673e-05 residual=2.784217668602551e-16 "
+    "support_exact=1 inner_iters=293 outer_iters=1",
+    "solver=nesta rel_error=0.014777691497168278 residual=0.05388877434123126 "
+    "support_exact=0 inner_iters=127 outer_iters=1",
+    "solver=nesta residual=2.280831551728593e-16 inner_iters=274 outer_iters=1",
 ]
 
 

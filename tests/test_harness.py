@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from conftest import assert_same_report
 
 from mmvsolve import (
     SOLVERS,
     InvalidArgumentError,
+    MmvProblem,
     ProblemSpec,
     SweepConfig,
     gen_instance,
@@ -53,8 +55,6 @@ def test_run_trial_is_deterministic_except_timing():
 def test_smv_baseline_stacks_per_column_solves():
     inst = gen_instance(small_spec(seed=8))
     joint = solve_smv_per_column(inst.problem)
-    from mmvsolve import MmvProblem
-
     cols = []
     for j in range(inst.problem.L):
         sub = MmvProblem(
@@ -62,6 +62,36 @@ def test_smv_baseline_stacks_per_column_solves():
         )
         cols.append(nesta_solve(sub).estimate[:, 0])
     assert np.array_equal(joint.estimate, np.column_stack(cols))
+
+
+def column_reports(problem):
+    """Each column of ``problem`` solved alone, at the split radius."""
+    L = problem.L
+    return [
+        nesta_solve(
+            MmvProblem(A=problem.A, B=problem.B[:, j : j + 1], epsilon=problem.epsilon / np.sqrt(L))
+        )
+        for j in range(L)
+    ]
+
+
+def test_smv_report_sums_its_columns_objectives_and_restarts():
+    problem = gen_instance(ProblemSpec(n=16, N=32, L=4, k=3, rank=3, seed=1)).problem
+    report = solve_smv_per_column(problem)
+    columns = column_reports(problem)
+    assert report.final_objective == sum(c.final_objective for c in columns)
+    assert report.restarts == sum(c.restarts for c in columns) > 0
+    assert report.inner_iterations == sum(c.inner_iterations for c in columns)
+
+
+def test_smv_batch_reports_each_problem_as_alone():
+    spec = dict(n=12, N=24, L=3, k=3, rank=3)
+    problems = [
+        gen_instance(ProblemSpec(seed=1, **spec)).problem,
+        gen_instance(ProblemSpec(seed=2, noise_sigma=1e-2, matrix_kind="gaussian", **spec)).problem,
+    ]
+    for problem, report in zip(problems, solve_smv_batch(problems)):
+        assert_same_report(report, solve_smv_per_column(problem))
 
 
 def test_smv_batch_factors_each_uncertified_operator_once(monkeypatch):
@@ -268,19 +298,19 @@ SWEEP_PIN_DIGESTS = {
     "noise_sigma": "82b31bf6b9ca7bdfc2a577b6cb0c4ec35ebbb10e55de4e2bac070faaab2a00de",
     "seed": "ab35fdfff3d822e41e08c7f1b7f59a52b0e200050ff745d4a5e6a5f0debb2d88",
     "support_exact": "1598dd9e5dcded7ff31ed57a97584812e1d85a7647e5981d09ed33e06d093c32",
-    "inner_iters": "3194bde6277bcbbaa86653e16e24ed3e09210a961661b9ca01b589a431c5ae71",
+    "inner_iters": "dc6986ea34f621f9ca889932a12520553cf9f62e3645cb254a8704e0f742c5e6",
     "outer_iters": "77fb23272206e72ffe8dfdf569e6fbd8bcc05043f8c86c55d32a3f730cbbe9df",
     "success": "1598dd9e5dcded7ff31ed57a97584812e1d85a7647e5981d09ed33e06d093c32",
 }
 SWEEP_PIN_RELATIVE_ERRORS = [
-    0.0001904296563979385, 0.00023941482683435705, 0.00013736056215769415,
-    0.0003548824891531092, 0.00024994591608210005, 0.00023941482683435705,
-    0.0002534696530276241, 0.00024067423103236066, 0.0001241157916276044,
-    0.10653263207028467, 0.16847059908449483, 0.0002534696530276241,
-    0.0003706185316906376, 0.00032278825057982773, 0.0009651650692264204,
-    0.00026898824374801836, 0.00039486517568223156, 0.0003706185316906376,
-    0.03442174322662638, 0.20693795639014964, 0.1533074918720866,
-    0.20222478143923311, 0.28539228955146406, 0.20222478143923311,
+    0.00018974453019415547, 0.00024610051208901227, 0.0001370778041951709,
+    0.0003701913399076268, 0.00023944446336456702, 0.00023944446336456702,
+    0.00025173640683561973, 0.00022228760993884546, 0.00012357849087628003,
+    0.10636085503332922, 0.16951102172475008, 0.00025173640683561973,
+    0.00036244893489461536, 0.0003119031246559066, 0.0009813941646393731,
+    0.0002543136986821618, 0.0004076063123068403, 0.00036244893489461536,
+    0.03511701063006312, 0.2069675424808601, 0.15329807001985052,
+    0.20199496053439783, 0.27755153688865664, 0.20199496053439783,
 ]
 
 

@@ -66,6 +66,7 @@ def test_orthonormal_columns_recover_in_one_iteration():
     problem = MmvProblem(A=A, B=Q @ X, epsilon=0.0)
     report = iht_solve(problem, IhtConfig(k=2, step=1.0))
     assert report.inner_iterations == 1
+    assert report.restarts == 0  # no momentum to restart
     assert np.allclose(report.estimate, X, atol=1e-12)
     assert tuple(report.detected_support) == (1, 3)
 

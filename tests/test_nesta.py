@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_same_report
 
 from mmvsolve import (
     FeasibilityProjector,
@@ -298,7 +299,7 @@ def test_zero_data_returns_zero_estimate():
     problem = MmvProblem(A=A, B=np.zeros((3, 2)), epsilon=0.5)
     report = nesta_solve(problem)
     assert np.array_equal(report.estimate, np.zeros((6, 2)))
-    assert report.converged and report.inner_iterations == 0
+    assert report.converged and report.inner_iterations == 0 and report.restarts == 0
 
 
 def zero_correlation_problem(eps):
@@ -370,13 +371,18 @@ def smv_reference(A, b, eps, stages=4, max_inner=5000, window=10, tol=1e-7):
         accum = np.zeros_like(x)
         alpha = anchor
         trace = []
-        for k in range(max_inner):
+        k = 0  # momentum counter, back to 0 at each restart
+        for _ in range(max_inner):
             g = grad(alpha, mu)
             y = proj(alpha - mu * g)
             accum = accum + ((k + 1) / 2.0) * g
             z = proj(anchor - mu * accum)
             alpha = (2.0 / (k + 3)) * z + (1 - 2.0 / (k + 3)) * y
+            k += 1
             trace.append(objective(y, mu))
+            if len(trace) >= 2 and trace[-1] > trace[-2]:
+                # the objective at y rose: restart the scheme from y
+                anchor, alpha, accum, k = y, y, np.zeros_like(x), 0
             if len(trace) >= window:
                 w = trace[-window:]
                 if max(w) - min(w) <= tol * max(abs(sum(w) / len(w)), 1e-30):
@@ -505,6 +511,21 @@ def test_iterative_nesta_stops_at_pass_cap(monkeypatch):
     assert len(report.detected_support) == 9
 
 
+def test_iterative_nesta_sums_its_passes_restarts(monkeypatch):
+    passes = []
+    solve = nesta.nesta_solve
+
+    def spy(problem, smoothing=None, cfg=None):
+        passes.append(solve(problem, smoothing, cfg))
+        return passes[-1]
+
+    monkeypatch.setattr(nesta, "nesta_solve", spy)
+    inst = gen_instance(ProblemSpec(n=8, N=10, L=2, k=2, rank=2, seed=1))
+    report = iterative_nesta(inst.problem, 9)
+    assert len(passes) == report.outer_iterations == 2
+    assert report.restarts == sum(p.restarts for p in passes) > 0
+
+
 def test_iterative_nesta_music_seed_trusts_best_scored_rows(monkeypatch):
     # rank-deficient data: the seed is the rank-many lowest MUSIC scores,
     # not music_support's k rows
@@ -613,12 +634,53 @@ def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support, cfg):
     assert len({tuple(r.stage_iterations) for r in batched}) > 2
 
 
+def test_batch_slots_restart_on_their_own_as_alone():
+    # the problems restart at different iterations of the shared stages, and
+    # each one's restarts are those it makes alone
+    problems = batch_problems()
+    batched = nesta_solve_batch(problems)
+    for problem, report in zip(problems, batched):
+        assert_same_report(report, nesta_solve(problem))
+    restarts = [r.restarts for r in batched]
+    assert len(set(restarts)) == len(restarts)
+    assert restarts[-1] == 0  # zero data is not iterated
+
+
+def stage_segments(report):
+    pos = 0
+    for length in report.stage_iterations:
+        yield report.objective_trace[pos : pos + length]
+        pos += length
+
+
+def test_restart_fires_exactly_where_the_objective_at_y_rises(monkeypatch):
+    calls = []
+    restart = nesta._restart
+
+    def recorded(state, batch, slots):
+        calls.append((state.iteration, list(slots)))
+        restart(state, batch, slots)
+
+    monkeypatch.setattr(nesta, "_restart", recorded)
+    report = nesta_solve(batch_problems()[0])
+    rises = []
+    for seg in stage_segments(report):
+        # iteration t (from 1) rose above iteration t - 1 of its stage
+        rises += [t for t in range(2, len(seg) + 1) if seg[t - 1] > seg[t - 2]]
+    assert [iteration for iteration, _ in calls] == rises
+    assert all(slots == [0] for _, slots in calls)
+    assert report.restarts == len(rises) > 0
+    # a rise is the exception, not every other iteration
+    assert len(rises) < report.inner_iterations // 2
+
+
 @pytest.mark.parametrize("index", [0, 2], ids=["certified", "gaussian-noisy"])
 def test_nesta_solve_is_its_documented_schedule_of_nesta_steps(index):
     # a reference written with public calls on one unstacked iterate: the
     # geometric schedule from MU0_FACTOR to MU_FINAL_FACTOR times the data
-    # scale, each stage warm-started at the last y and stopped on Python
-    # floats by the window spread, the objective floor or the cap
+    # scale, each stage warm-started at the last y, restarted at y whenever
+    # its objective there rises, and stopped on Python floats by the window
+    # spread, the objective floor or the cap
     problem = batch_problems()[index]
     cfg = NestaConfig()
     corr = problem.phi.T @ problem.B
@@ -632,15 +694,22 @@ def test_nesta_solve_is_its_documented_schedule_of_nesta_steps(index):
     for stage in range(CONTINUATION_STAGES):
         sm = SmoothingConfig(mu=mu0 * ratio ** (stage + 1))
         state = initial_state(x)
-        for _ in range(cfg.max_inner_iters):
+        for iteration in range(1, cfg.max_inner_iters + 1):
             state = nesta_step(state, problem, sm, projector=projector)
             window = state.objective_trace[-STOP_WINDOW:]
+            if len(window) > 1 and window[-1] > window[-2]:
+                # a fresh state at y, as at a stage start, that keeps the
+                # stage's trace and iteration count
+                restarted = initial_state(state.y)
+                restarted.objective_trace = state.objective_trace
+                restarted.iteration = state.iteration
+                state = restarted
             if len(window) == STOP_WINDOW:
                 top, level = max(window), abs(sum(window) / STOP_WINDOW)
                 if top - min(window) <= STOP_TOL * max(level, 1e-30) or top <= floor:
                     break
         x = state.y
-        stage_iterations.append(state.k)
+        stage_iterations.append(iteration)
         trace += state.objective_trace
     report = nesta_solve(problem, cfg=cfg)
     assert report.stage_iterations == stage_iterations
@@ -661,10 +730,7 @@ def test_batch_records_an_infeasible_problem_and_solves_the_rest():
     others = batched[:2] + batched[3:]
     assert not any(isinstance(r, Exception) for r in others)
     for problem, report in zip(problems, others):
-        alone = nesta_solve(problem)
-        assert np.array_equal(report.estimate, alone.estimate)
-        assert report.stage_iterations == alone.stage_iterations
-        assert np.array_equal(report.objective_trace, alone.objective_trace)
+        assert_same_report(report, nesta_solve(problem))
 
 
 def test_a_lone_solve_takes_one_nesta_step_per_iteration(monkeypatch):
