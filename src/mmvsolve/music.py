@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix, rank_above
+from .core import InvalidArgumentError, SupportSet, as_matrix, rank_above, top_k
 
 # Default relative singular-value threshold of the rank estimate.
 MUSIC_DELTA = 1e-8
@@ -90,5 +90,6 @@ def music_support(problem, k, delta=MUSIC_DELTA):
     else:
         # no signal subspace at all; every column is equally implausible
         scores = np.ones(problem.N)
-    chosen = SupportSet.from_indices(np.argsort(scores, kind="stable")[:k])
+    # the k smallest scores are the k largest of -scores
+    chosen = SupportSet._of_sorted(top_k(-scores, k))
     return MusicResult(rank=r, scores=scores, support=chosen)

@@ -78,10 +78,12 @@ from .core import (
     InvalidArgumentError,
     MmvProblem,
     SupportSet,
+    as_count,
     as_matrix,
     hard_threshold_rows,
     row_norms,
     row_support,
+    top_k,
 )
 from .music import music_support
 from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
@@ -137,8 +139,9 @@ class NestaConfig:
     def __post_init__(self):
         if self.mu_final is not None and not (math.isfinite(self.mu_final) and self.mu_final > 0):
             raise InvalidArgumentError(f"mu_final must be positive, got {self.mu_final!r}")
-        if self.max_inner_iters < 1:
-            raise InvalidArgumentError("max_inner_iters must be >= 1")
+        object.__setattr__(
+            self, "max_inner_iters", as_count(self.max_inner_iters, "max_inner_iters")
+        )
 
 
 @dataclass(eq=False)
@@ -677,14 +680,14 @@ def _start(problem, smoothing, cfg, bases):
 def _restart(state, batch, slots):
     """Restart the given slots of a stacked state at their y, as a stage
     start would: y becomes the iterate and the prox center, the gradient
-    sum and k go to 0, and the slot's images are computed exactly."""
+    sum, its image and k go to 0, and the images of y are computed exactly."""
     ops = batch.operators
     for j in slots:
         state.alpha[j] = state.prox_center[j] = state.y[j]
         state.grad_accum[j] = 0.0
         state.k[j] = 0
         state.phi_alpha[j] = state.phi_prox[j] = ops.apply_slot(j, state.y[j])
-        state.phi_accum[j] = ops.apply_slot(j, state.grad_accum[j])
+        state.phi_accum[j] = 0.0
 
 
 def _run_stage(solves, stage, smoothing, cfg):
@@ -903,9 +906,7 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     support = SupportSet()
     if use_music:
         music = music_support(problem, k)
-        support = SupportSet.from_indices(
-            np.argsort(music.scores, kind="stable")[: min(music.rank, k)]
-        )
+        support = SupportSet._of_sorted(top_k(-music.scores, min(music.rank, k)))
     total_inner = restarts = 0
     traces = []
     stage_iters = []

@@ -54,7 +54,7 @@ SOLVE_PIN = [
     "support_exact=1 inner_iters=97 outer_iters=1",
     "solver=iterative-nesta rel_error=6.045857596555116e-17 residual=7.505561329662603e-17 "
     "support_exact=1 inner_iters=166 outer_iters=2",
-    "solver=iht rel_error=1.196228098426972e-16 residual=2.0074880843059296e-16 "
+    "solver=iht rel_error=1.196228098426972e-16 residual=2.0434424045405772e-16 "
     "support_exact=1 inner_iters=1 outer_iters=1",
     "solver=smv rel_error=8.495607772136673e-05 residual=2.784217668602551e-16 "
     "support_exact=1 inner_iters=293 outer_iters=1",

@@ -19,7 +19,7 @@ from mmvsolve import (
     spark,
     write_matrix,
 )
-from mmvsolve.core import rank_above
+from mmvsolve.core import rank_above, top_k
 
 
 def test_row_norms_examples():
@@ -80,6 +80,40 @@ def test_hard_threshold_examples():
 
     out, supp = hard_threshold_rows(np.eye(2), 1)
     assert tuple(supp) == (0,)  # tie broken toward the lower index
+
+
+def test_hard_threshold_picks_exactly_the_stable_argsort_rows_under_ties():
+    # integer entries and repeated rows make many row norms tie exactly
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        N, L = int(rng.integers(2, 24)), int(rng.integers(1, 4))
+        pool = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), L)).astype(float)
+        X = pool[rng.integers(0, len(pool), size=N)]
+        X[rng.random(N) < 0.3] *= -1.0  # sign flips keep the norm
+        norms = row_norms(X)
+        for k in range(1, N):
+            want = np.sort(np.argsort(-norms, kind="stable")[:k])
+            out, supp = hard_threshold_rows(X, k)
+            assert tuple(supp) == tuple(want.tolist())
+            expected = np.zeros_like(X)
+            expected[want] = X[want]
+            assert np.array_equal(out, expected)
+
+
+def test_top_k_of_negated_scores_is_the_stable_argsort_of_the_k_smallest():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        size = int(rng.integers(1, 30))
+        scores = rng.integers(0, 4, size=size) / 3.0
+        for k in range(0, size + 2):
+            want = np.sort(np.argsort(scores, kind="stable")[:k])
+            assert np.array_equal(top_k(-scores, k), want)
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, float("nan"), None])
+def test_hard_threshold_rejects_bad_k_values(k):
+    with pytest.raises(InvalidArgumentError, match=f"k must be a positive integer, got {k!r}"):
+        hard_threshold_rows(np.eye(3), k)
 
 
 def test_hard_threshold_rejects_bad_k():

@@ -177,3 +177,20 @@ def test_support_validates_k():
         music_support(inst.problem, 0)
     with pytest.raises(InvalidArgumentError):
         music_support(inst.problem, 12)
+
+
+def test_support_is_the_stable_argsort_of_the_scores_under_ties():
+    # repeated integer columns and zero data make many scores tie exactly
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        n, N = 5, int(rng.integers(6, 16))
+        pool = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        pool[:, 0] += 3.0  # no zero column
+        phi = pool[:, rng.integers(0, 3, size=N)]
+        phi[:, rng.random(N) < 0.3] *= -1.0
+        B = np.zeros((n, 2)) if trial % 3 == 0 else phi[:, :2] @ rng.standard_normal((2, 2))
+        problem = MmvProblem(A=MeasurementMatrix.from_entries(phi), B=B, epsilon=0.0)
+        for k in range(1, N):
+            res = music_support(problem, k)
+            want = np.sort(np.argsort(res.scores, kind="stable")[:k])
+            assert tuple(res.support) == tuple(want.tolist())

@@ -576,6 +576,20 @@ def test_config_rejects_non_finite_radius_and_smoothing(value):
         NestaConfig(mu_final=value)
 
 
+@pytest.mark.parametrize("value", [2.5, 0, -3, float("nan"), float("inf"), "5", None])
+def test_config_rejects_a_non_integer_iteration_cap(value):
+    with pytest.raises(InvalidArgumentError, match=f"max_inner_iters .*got {value!r}"):
+        NestaConfig(max_inner_iters=value)
+
+
+def test_integral_float_iteration_cap_solves_as_its_int():
+    problem = gen_instance(ProblemSpec(n=8, N=16, L=2, k=2, rank=2, seed=4)).problem
+    cfg = NestaConfig(max_inner_iters=40.0)
+    assert type(cfg.max_inner_iters) is int
+    want = nesta_solve(problem, cfg=NestaConfig(max_inner_iters=40))
+    assert_same_report(nesta_solve(problem, cfg=cfg), want)
+
+
 # a final smoothing that gives five of ``batch_problems()`` a one-stage
 # schedule and one the full CONTINUATION_STAGES, so the later stages run
 # that problem alone in the batch
