@@ -14,6 +14,14 @@ makes one dense product phi^T r, one ``hard_threshold_rows`` call and the
 residual on the k kept columns, B - phi[:, rows] alpha[rows], since alpha
 is zero off them.
 
+Once the kept rows S of a fixed-step iteration have stayed the same for
+SETTLED_ITERS iterations, the iteration tries a certified least-squares
+finish (the debiasing step of Hard Thresholding Pursuit; Foucart, SIAM J.
+Numer. Anal. 2011): it fits alpha* = lstsq(phi_S, B) and bounds every
+later iterate of the plain loop. If the bound proves that H_k keeps S
+forever, alpha* is the plain loop's limit, and the iteration steps from it
+and stops; otherwise it goes on exactly as before.
+
 The iteration starts from the MUSIC support estimate with least-squares
 coefficients on it (subspace-augmented thresholding; Kim, Lee & Ye,
 "Compressive MUSIC", arXiv:1004.4398). Started from the thresholded
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, as_count, hard_threshold_rows
+from .core import InvalidArgumentError, as_count, hard_threshold_rows, lstsq_rows
 from .music import music_support
 from .nesta import RecoveryReport
 
@@ -41,6 +49,14 @@ _ADAPTIVE_C = 0.01
 # ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below this.
 STOP_TOL = 1e-8
 
+# A fixed-step iteration tries the certified least-squares finish once its
+# kept rows have stayed the same for this many consecutive iterations.
+SETTLED_ITERS = 5
+
+# The finish's off-support bound must stay below its kept-row bound by this
+# fraction of the fit's largest kept row norm, against round-off.
+_FINISH_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class IhtConfig:
@@ -50,7 +66,10 @@ class IhtConfig:
     0.98 / ||phi||_2^2, with ||phi||_2 = sqrt(c) exactly when phi phi^T = c I
     is certified and a power-iteration estimate otherwise). Iteration stops
     once the relative iterate change ||alpha' - alpha||_F / max(1, ||alpha||_F)
-    falls below STOP_TOL, or at ``max_iters``.
+    falls below STOP_TOL, or at ``max_iters``. A fixed-step iteration also
+    stops one step after a certified least-squares finish (see
+    ``iht_solve``). ``adaptive_step`` chooses each step itself, so it
+    takes no ``step``.
     """
 
     k: int
@@ -62,6 +81,11 @@ class IhtConfig:
         object.__setattr__(self, "k", as_count(self.k, "k"))
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise InvalidArgumentError(f"step must be finite and positive, got {self.step!r}")
+        if self.step is not None and self.adaptive_step:
+            raise InvalidArgumentError(
+                "step and adaptive_step=True exclude each other: the adaptive rule "
+                "chooses every step itself"
+            )
         object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
 
 
@@ -69,17 +93,23 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
     """Largest singular value via power iteration on M^T M.
 
     Deterministic start (uniform vector); 50 iterations or relative change
-    below tol, which is plenty for a step-size bound.
+    below tol, which is plenty for a step-size bound. When the uniform
+    vector lies in M's null space (every row of M sums to zero, say), the
+    iteration restarts from M's largest-norm row, which M never maps to 0.
     """
     M = np.asarray(M, dtype=float)
     n_cols = M.shape[1]
     v = np.full(n_cols, 1.0 / np.sqrt(n_cols))
     estimate = 0.0
-    for _ in range(max_iters):
+    for i in range(max_iters):
         w = M.T @ (M @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
-            return 0.0
+            if i or not np.any(M):
+                return 0.0
+            row = M[np.argmax(np.linalg.norm(M, axis=1))]
+            v = row / np.linalg.norm(row)
+            continue
         new_estimate = np.sqrt(norm_w)
         v = w / norm_w
         if estimate > 0 and abs(new_estimate - estimate) <= tol * estimate:
@@ -116,20 +146,61 @@ def _normalized_step(phi, alpha, grad, rows, k):
     return candidate, cand_support, cand_rows
 
 
-def _initial_point(problem, k, init_step):
+def _operator_norm(problem):
+    """||phi||_2: sqrt(c) when phi phi^T = c I is certified, else a power-iteration estimate."""
+    A = problem.A
+    return math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(problem.phi)
+
+
+def _initial_point(problem, k, step):
     """MUSIC support with least-squares rows, or H_k(init_step * phi^T B).
 
     The thresholded correlation is kept only where MUSIC carries no
     information: an estimated signal rank of 0 (zero data) or of n (every
-    column then lies in the signal subspace).
+    column then lies in the signal subspace). Its init_step is the fixed
+    ``step``, or 1 / ||phi||_2^2 for the adaptive rule (``step`` None).
     """
     music = music_support(problem, k)
     if not 0 < music.rank < problem.n:
+        init_step = step if step is not None else 1.0 / _operator_norm(problem) ** 2
         return hard_threshold_rows(init_step * (problem.phi.T @ problem.B), k)
-    rows = music.support.as_array()
-    alpha = np.zeros((problem.N, problem.L))
-    alpha[rows] = np.linalg.lstsq(problem.phi[:, rows], problem.B, rcond=None)[0]
+    alpha, _, _ = lstsq_rows(problem.phi, problem.B, music.support.as_array())
     return alpha, music.support
+
+
+def _certified_fit(phi, B, alpha, rows, step):
+    """The least-squares point on ``rows`` if plain IHT provably keeps them.
+
+    Returns (alpha*, g*), or None: alpha* = lstsq(phi_S, B) on S = ``rows``
+    and zero elsewhere, and g* = phi^T r* with r* = B - phi_S alpha*_S.
+    Soundness: on S the error of plain IHT follows
+    e_{t+1} = (I - step phi_S^T phi_S) e_t, a non-expansion while
+    step ||phi_S||_2^2 < 2, since phi_S^T r* = 0. So with e = ||alpha_S -
+    alpha*_S||_F every kept row before thresholding stays within e of
+    alpha*_i, and every off-support row step * phi_j^T r_t stays within
+    step (||g*_j|| + ||phi_j^T phi_S|| e). When the largest off-support
+    bound is below the smallest ||alpha*_i|| - e, H_k keeps S forever and
+    the iterates converge to alpha*. Costs one n x k lstsq and the
+    products phi^T r* and phi^T phi_S.
+    """
+    fit, rank, norm = lstsq_rows(phi, B, rows)
+    if rank < rows.size or step * norm**2 >= 2.0:
+        return None
+    fit_S = fit[rows]
+    e = float(np.linalg.norm(alpha[rows] - fit_S))
+    kept = np.linalg.norm(fit_S, axis=1)
+    # the kept-row bound less the margin; every off-support bound is >= 0
+    room = float(kept.min()) - e - _FINISH_MARGIN * float(kept.max())
+    if room <= 0.0:
+        return None
+    phi_S = phi[:, rows]
+    grad = phi.T @ (B - phi_S @ fit_S)
+    # row j of phi^T phi_S is phi_j^T phi_S
+    off_bound = np.linalg.norm(grad, axis=1) + np.linalg.norm(phi.T @ phi_S, axis=1) * e
+    off_bound[rows] = 0.0
+    if step * float(off_bound.max()) < room:
+        return fit, grad
+    return None
 
 
 def iht_solve(problem, cfg):
@@ -145,11 +216,22 @@ def iht_solve(problem, cfg):
     round-off in the least-squares fit. The report's objective trace holds
     the data residual ||B - phi alpha||_F per iteration.
 
+    Iteration stops once the relative iterate change falls below STOP_TOL,
+    or at ``cfg.max_iters``. With a fixed step, once the kept rows S have
+    stayed the same for SETTLED_ITERS iterations, the iteration tries the
+    certified least-squares finish: alpha* = lstsq(phi_S, B), accepted
+    only if a bound proves that the plain iteration never leaves S (so
+    alpha* is its limit). An accepted try moves alpha to alpha* and takes
+    the ordinary step from there, which then stops; a rejected try leaves
+    the iteration as it was, and the count starts again. The adaptive rule
+    never tries the finish.
+
     A fixed-step iteration calls ``hard_threshold_rows`` once (the
     adaptive step once per proposal, backtracks included) and takes the
-    residual on the k kept columns of phi. That regroups the sum of the dense product phi @ alpha: BLAS gives
-    the same bits on some shapes (the benchmark's 128 x 512 x 8) and may
-    differ in the last bits on others.
+    residual on the k kept columns of phi. That regroups the sum of the
+    dense product phi @ alpha: BLAS gives the same bits on some shapes
+    (the benchmark's 128 x 512 x 8) and may differ in the last bits on
+    others.
     """
     t0 = time.perf_counter()
     phi = problem.phi
@@ -158,13 +240,12 @@ def iht_solve(problem, cfg):
         raise InvalidArgumentError(
             f"k must satisfy 1 <= k < N = {problem.N}, got {cfg.k}"
         )
-    A = problem.A
-    op_norm = math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(phi)
-    if op_norm == 0.0:
+    if not np.any(phi):
         raise InvalidArgumentError("measurement operator is zero")
     if cfg.adaptive_step:
         step = None
     else:
+        op_norm = _operator_norm(problem)
         step = 0.98 / op_norm**2 if cfg.step is None else cfg.step
         # the boundary step * ||phi||^2 = 1 still majorizes the residual,
         # and orthonormal-column operators use it, so only reject beyond it
@@ -174,19 +255,28 @@ def iht_solve(problem, cfg):
                 f"step * ||phi||_2^2 <= 1 (||phi||_2 = {op_norm:g})"
             )
 
-    init_step = step if step is not None else 1.0 / op_norm**2
-    alpha, support = _initial_point(problem, cfg.k, init_step)
+    alpha, support = _initial_point(problem, cfg.k, step)
     rows = support.as_array()
     resid = B - phi @ alpha
     trace = [float(np.linalg.norm(resid))]
     iterations = 0
     converged = False
+    settled = 0  # fixed-step iterations in a row that kept the same rows
     for iterations in range(1, cfg.max_iters + 1):
-        grad = phi.T @ resid
+        fit = None
+        if settled >= SETTLED_ITERS:
+            settled = 0
+            fit = _certified_fit(phi, B, alpha, rows, step)
+        if fit is not None:
+            alpha, grad = fit
+        else:
+            grad = phi.T @ resid
         if cfg.adaptive_step:
             new_alpha, support, rows = _normalized_step(phi, alpha, grad, rows, cfg.k)
         else:
-            new_alpha, support, rows = _threshold(alpha + step * grad, cfg.k)
+            new_alpha, support, new_rows = _threshold(alpha + step * grad, cfg.k)
+            settled = settled + 1 if np.array_equal(new_rows, rows) else 0
+            rows = new_rows
         change = float(np.linalg.norm(new_alpha - alpha)) / max(
             1.0, float(np.linalg.norm(alpha))
         )

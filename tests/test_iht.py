@@ -183,9 +183,32 @@ def reference_normalized_step(phi, alpha, grad, support, k):
     return candidate, cand_support
 
 
+def reference_certified_fit(phi, B, alpha, support, step):
+    """The certified least-squares finish in its plain form: the fit on the
+    support, or None unless every off-support bound is below every kept one."""
+    S = list(support)
+    off = [j for j in range(phi.shape[1]) if j not in S]
+    coef, _, rank, _ = np.linalg.lstsq(phi[:, S], B, rcond=None)
+    if rank < len(S) or step * np.linalg.norm(phi[:, S], 2) ** 2 >= 2.0:
+        return None
+    fit = np.zeros_like(alpha)
+    fit[S] = coef
+    grad = phi.T @ (B - phi @ fit)
+    e = np.linalg.norm(alpha - fit)
+    off_bound = max(
+        step * (np.linalg.norm(grad[j]) + np.linalg.norm(phi[:, j] @ phi[:, S]) * e) for j in off
+    )
+    kept = [np.linalg.norm(fit[i]) for i in S]
+    if off_bound + iht._FINISH_MARGIN * max(kept) < min(kept) - e:
+        return fit, grad
+    return None
+
+
 def reference_iht(problem, cfg):
     """The documented iteration in its plain form: the public
     hard_threshold_rows on every step and the dense residual B - phi alpha.
+    With a fixed step, the certified least-squares finish is tried after
+    every SETTLED_ITERS iterations that kept the same support.
     Returns the coefficients, the last support and the iteration count."""
     phi, B, k = problem.phi, problem.B, cfg.k
     A = problem.A
@@ -201,12 +224,20 @@ def reference_iht(problem, cfg):
         init_step = 1.0 / op_norm**2 if cfg.adaptive_step else step
         alpha, support = hard_threshold_rows(init_step * (phi.T @ B), k)
     resid = B - phi @ alpha
+    settled = 0
     for iterations in range(1, cfg.max_iters + 1):
         grad = phi.T @ resid
         if cfg.adaptive_step:
             new_alpha, support = reference_normalized_step(phi, alpha, grad, support, k)
         else:
-            new_alpha, support = hard_threshold_rows(alpha + step * grad, k)
+            if settled == iht.SETTLED_ITERS:
+                settled = 0
+                fit = reference_certified_fit(phi, B, alpha, support, step)
+                if fit is not None:
+                    alpha, grad = fit
+            new_alpha, new_support = hard_threshold_rows(alpha + step * grad, k)
+            settled = settled + 1 if new_support == support else 0
+            support = new_support
         change = float(np.linalg.norm(new_alpha - alpha)) / max(1.0, float(np.linalg.norm(alpha)))
         alpha = new_alpha
         resid = B - phi @ alpha
@@ -268,3 +299,165 @@ def test_fixed_step_thresholds_once_per_iteration(monkeypatch):
     report = iht_solve(inst.problem, IhtConfig(k=6))
     assert report.inner_iterations > 10
     assert len(calls) == report.inner_iterations
+
+
+def test_spectral_norm_restarts_off_a_null_space_start():
+    # every row sums to zero, so the uniform start vector is in the null space
+    phi = np.array(
+        [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 2, -2]], dtype=float
+    )
+    assert spectral_norm(phi) == pytest.approx(np.linalg.norm(phi, 2), rel=1e-8)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        M = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(2, 12))))
+        M -= M.mean(axis=1, keepdims=True)
+        # 50 power steps resolve close top singular values to ~1e-7
+        assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-6)
+
+
+def test_iht_solves_on_a_row_centred_operator():
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((16, 32))
+    phi -= phi.mean(axis=1, keepdims=True)
+    X = np.zeros((32, 2))
+    X[[3, 17, 25]] = rng.standard_normal((3, 2))
+    problem = MmvProblem(A=MeasurementMatrix.from_entries(phi), B=phi @ X, epsilon=0.0)
+    assert not problem.A.row_orthonormal
+    for adaptive in (False, True):
+        report = iht_solve(problem, IhtConfig(k=3, adaptive_step=adaptive))
+        assert tuple(report.detected_support) == (3, 17, 25)
+        assert np.abs(report.estimate - X).max() <= 1e-6
+
+
+def test_config_rejects_a_step_for_the_adaptive_rule():
+    with pytest.raises(InvalidArgumentError, match="step and adaptive_step"):
+        IhtConfig(k=2, step=1e-9, adaptive_step=True)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_zero_operator_is_rejected(adaptive):
+    problem = MmvProblem(A=MeasurementMatrix(np.zeros((3, 6))), B=np.ones((3, 2)), epsilon=0.0)
+    with pytest.raises(InvalidArgumentError, match="measurement operator is zero"):
+        iht_solve(problem, IhtConfig(k=2, adaptive_step=adaptive))
+
+
+def test_adaptive_rule_skips_the_power_iteration_after_a_music_start(monkeypatch):
+    calls = []
+
+    def counting(M, *args):
+        calls.append(M.shape)
+        return spectral_norm(M, *args)
+
+    monkeypatch.setattr(iht, "spectral_norm", counting)
+    inst = gen_instance(
+        ProblemSpec(n=24, N=64, L=3, k=6, rank=2, noise_sigma=1e-3, matrix_kind="gaussian", seed=3)
+    )
+    assert 0 < music_support(inst.problem, 6).rank < 24  # the MUSIC start
+    iht_solve(inst.problem, IhtConfig(k=6, adaptive_step=True))
+    assert calls == []
+    iht_solve(inst.problem, IhtConfig(k=6))  # the fixed step needs the norm
+    assert calls == [(24, 64)]
+    # rank = n: the thresholded-correlation start scales by 1 / ||phi||^2
+    full_rank = gen_instance(
+        ProblemSpec(n=4, N=10, L=4, k=4, rank=4, matrix_kind="gaussian", seed=0)
+    )
+    iht_solve(full_rank.problem, IhtConfig(k=4, adaptive_step=True))
+    assert calls == [(24, 64), (4, 10)]
+
+
+# The benchmark's iht_gaussian pool (seeds 0-31), and a Gaussian family on
+# which a finish accepted whenever one step from the fit keeps its rows
+# (no certificate) changes a support.
+POOL_SPEC = ProblemSpec(n=128, N=512, L=8, k=20, rank=8, noise_sigma=1e-3, matrix_kind="gaussian")
+FINISH_FAMILIES = {
+    "iht_gaussian": [replace(POOL_SPEC, seed=s) for s in range(32)],
+    "gaussian_32x64x3": [
+        ProblemSpec(n=32, N=64, L=3, k=8, rank=3, matrix_kind="gaussian", seed=s) for s in range(30)
+    ],
+}
+
+
+def without_finish(monkeypatch, problem, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(iht, "SETTLED_ITERS", math.inf)
+        return iht_solve(problem, cfg)
+
+
+@pytest.mark.parametrize("family", sorted(FINISH_FAMILIES))
+def test_finish_keeps_the_plain_loops_outcomes(monkeypatch, family):
+    fewer = 0
+    for spec in FINISH_FAMILIES[family]:
+        problem = gen_instance(spec).problem
+        cfg = IhtConfig(k=spec.k)
+        report = iht_solve(problem, cfg)
+        plain = without_finish(monkeypatch, problem, cfg)
+        assert report.detected_support == plain.detected_support
+        assert report.converged == plain.converged
+        error = np.linalg.norm(report.estimate - plain.estimate)
+        assert error <= 1e-6 * np.linalg.norm(plain.estimate)
+        assert report.final_residual <= plain.final_residual * (1 + 1e-12)
+        assert report.inner_iterations <= plain.inner_iterations
+        fewer += report.inner_iterations < plain.inner_iterations
+    assert fewer > 0
+
+
+def finish_tries(monkeypatch):
+    """Record whether each certified-finish try of iht_solve is accepted."""
+    accepted = []
+
+    def recording(*args):
+        fit = original(*args)
+        accepted.append(fit is not None)
+        return fit
+
+    original = iht._certified_fit
+    monkeypatch.setattr(iht, "_certified_fit", recording)
+    return accepted
+
+
+def test_accepted_finish_is_the_least_squares_fixed_point(monkeypatch):
+    accepted = finish_tries(monkeypatch)
+    checked = 0
+    for spec in FINISH_FAMILIES["gaussian_32x64x3"][:10]:
+        problem = gen_instance(spec).problem
+        accepted.clear()
+        report = iht_solve(problem, IhtConfig(k=spec.k))
+        if not any(accepted):
+            continue
+        checked += 1
+        phi, B, alpha = problem.phi, problem.B, report.estimate
+        rows = list(report.detected_support)
+        fit = np.zeros_like(alpha)
+        fit[rows] = np.linalg.lstsq(phi[:, rows], B, rcond=None)[0]
+        scale = np.abs(fit).max()
+        assert np.abs(alpha - fit).max() <= 1e-12 * scale
+        step = 0.98 / spectral_norm(phi) ** 2
+        again, support = hard_threshold_rows(alpha + step * (phi.T @ (B - phi @ alpha)), spec.k)
+        assert support == report.detected_support
+        assert np.abs(again - alpha).max() <= 1e-12 * scale
+    assert checked >= 3
+
+
+def test_rejected_tries_leave_the_plain_trajectory(monkeypatch):
+    accepted = finish_tries(monkeypatch)
+    rejected_then_accepted = 0
+    for spec in FINISH_FAMILIES["iht_gaussian"][:8]:
+        problem = gen_instance(spec).problem
+        cfg = IhtConfig(k=spec.k)
+        accepted.clear()
+        report = iht_solve(problem, cfg)
+        plain = without_finish(monkeypatch, problem, cfg)
+        if accepted[-1:] == [True]:
+            # the accepted try moves the last iteration only
+            last = report.inner_iterations
+            assert np.array_equal(report.objective_trace[:last], plain.objective_trace[:last])
+            rejected_then_accepted += len(accepted) > 1
+        else:
+            assert_same_report(report, plain)
+    assert rejected_then_accepted > 0
+    # rejecting every try leaves every solve exactly the plain loop's
+    monkeypatch.setattr(iht, "_certified_fit", lambda *args: None)
+    for spec in FINISH_FAMILIES["iht_gaussian"][:8]:
+        problem = gen_instance(spec).problem
+        cfg = IhtConfig(k=spec.k)
+        assert_same_report(iht_solve(problem, cfg), without_finish(monkeypatch, problem, cfg))
