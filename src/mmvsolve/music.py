@@ -3,8 +3,11 @@
 The left singular vectors of the measurement block span the signal
 subspace; dictionary columns nearly inside that subspace are support
 candidates. Scores are normalized subspace residuals in [0, 1]: 0 means
-the column lies in the signal subspace, 1 means orthogonal to it. When
-the data has full column rank equal to the sparsity level, the smallest
+the column lies in the signal subspace, 1 means orthogonal to it. They
+come from the r x N projection U_s^T phi of the dictionary onto the
+subspace's basis; only the columns scoring below _CANCELLATION_CUTOFF,
+where that route cancels, get their n-vector residual formed. When the
+data has full column rank equal to the sparsity level, the smallest
 scores identify the support exactly; with rank-deficient data the scores
 still give a useful partial seed, which is how the solvers consume them.
 """
@@ -16,10 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix, rank_above, top_k
+from .core import InvalidArgumentError, SupportSet, as_count, as_matrix, rank_above, top_k
 
 # Default relative singular-value threshold of the rank estimate.
 MUSIC_DELTA = 1e-8
+
+# Scores below this come from the residual phi_j - U_s (U_s^T phi_j):
+# sqrt(1 - ratio) is off by ~1e-16 / (2 score), ~1e-8 near 0.
+_CANCELLATION_CUTOFF = 0.1
 
 
 @dataclass(frozen=True)
@@ -43,17 +50,21 @@ def estimate_rank(B, delta):
 
 
 def _subspace_scores(phi, Us):
-    col_norms = np.sqrt((phi * phi).sum(axis=0))
-    zero_cols = col_norms == 0
+    col_sq = np.einsum("ij,ij->j", phi, phi)
+    zero_cols = col_sq == 0
     if zero_cols.any():
         warnings.warn(
             f"{int(zero_cols.sum())} zero dictionary column(s); scoring them 1",
             stacklevel=3,
         )
-    resid = phi - Us @ (Us.T @ phi)
-    safe = np.where(zero_cols, 1.0, col_norms)
-    scores = np.sqrt((resid * resid).sum(axis=0)) / safe
-    scores[zero_cols] = 1.0
+    proj = Us.T @ phi
+    # a zero column has proj = 0, so it scores 1 - 0 / 1 = 1
+    safe = np.where(zero_cols, 1.0, col_sq)
+    scores = np.sqrt(np.maximum(1.0 - np.einsum("ij,ij->j", proj, proj) / safe, 0.0))
+    near = np.flatnonzero(scores < _CANCELLATION_CUTOFF)
+    if near.size:
+        resid = phi[:, near] - Us @ proj[:, near]
+        scores[near] = np.sqrt((resid * resid).sum(axis=0)) / np.sqrt(col_sq[near])
     return scores
 
 
@@ -61,15 +72,21 @@ def music_scores(problem, r):
     """Normalized residual of each dictionary column against the signal subspace.
 
     score_j = ||(I - U_s U_s^T) phi_j|| / ||phi_j|| with U_s the top-r left
-    singular vectors of B. Zero columns cannot be scored and get score 1.
+    singular vectors of B, formed as sqrt(1 - ||U_s^T phi_j||^2 / ||phi_j||^2)
+    from the r x N projection U_s^T phi. That difference cancels as the
+    score nears 0, so a column whose score falls below
+    _CANCELLATION_CUTOFF (0.1) is rescored from its residual
+    phi_j - U_s (U_s^T phi_j); every score is then within ~1e-14 of the
+    residual's. Zero columns cannot be scored and get score 1.
     """
     n_sv = min(problem.n, problem.L)
-    if int(r) != r or not 1 <= r <= n_sv:
+    r = as_count(r, "subspace dimension r")
+    if r > n_sv:
         raise InvalidArgumentError(
             f"subspace dimension r must be an integer in [1, {n_sv}], got {r!r}"
         )
     U = np.linalg.svd(problem.B, full_matrices=False)[0]
-    return _subspace_scores(problem.phi, U[:, : int(r)])
+    return _subspace_scores(problem.phi, U[:, :r])
 
 
 def music_support(problem, k, delta=MUSIC_DELTA):
@@ -79,9 +96,9 @@ def music_support(problem, k, delta=MUSIC_DELTA):
     relative threshold ``delta`` (suited to noiseless synthetic data; pick a
     larger value explicitly for noisy runs). Ties keep the lowest index.
     """
-    if int(k) != k or not 1 <= k < problem.N:
+    k = as_count(k, "k")
+    if k >= problem.N:
         raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
-    k = int(k)
     # the rank and the scores come from one thin SVD of B
     U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
     r = _signal_rank(sv, delta)

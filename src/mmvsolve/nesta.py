@@ -897,9 +897,9 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     ``use_music`` the first pass trusts the min(rank, k) best-scored rows
     of :func:`music_support`, since trusted rows are taken at face value.
     """
-    if int(k) != k or not 1 <= k < problem.N:
+    k = as_count(k, "k")
+    if k >= problem.N:
         raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
-    k = int(k)
     t0 = time.perf_counter()
     base = SmoothingConfig() if smoothing is None else smoothing
 

@@ -6,6 +6,7 @@ from mmvsolve import (
     MeasurementMatrix,
     MmvProblem,
     ProblemSpec,
+    SupportSet,
     estimate_rank,
     gen_instance,
     music_scores,
@@ -194,3 +195,41 @@ def test_support_is_the_stable_argsort_of_the_scores_under_ties():
             res = music_support(problem, k)
             want = np.sort(np.argsort(res.scores, kind="stable")[:k])
             assert tuple(res.support) == tuple(want.tolist())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0])
+def test_support_and_scores_reject_a_count_that_is_no_positive_integer(value):
+    inst = gen_instance(ProblemSpec(n=6, N=12, L=2, k=2, rank=2, seed=0))
+    with pytest.raises(InvalidArgumentError, match=f"k .*got {value!r}"):
+        music_support(inst.problem, value)
+    with pytest.raises(InvalidArgumentError, match=f"r .*got {value!r}"):
+        music_scores(inst.problem, value)
+
+
+def test_scores_near_the_subspace_match_the_residual_oracle():
+    # columns at known distances from the signal subspace span(Q[:, :3]):
+    # phi_j = Q a_j + d_j w_j with a_j a unit vector in the subspace and w_j
+    # a unit vector orthogonal to it, so score_j = d_j / sqrt(1 + d_j^2).
+    # Near the subspace 1 - ||U_s^T phi_j||^2 / ||phi_j||^2 cancels to
+    # ~1e-16, a score error of ~1e-8 at d = 1e-10; the scores must still
+    # match the least-squares residual, relative to ||phi_j||, within 1e-12.
+    rng = np.random.default_rng(41)
+    n, r = 12, 3
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    distances = np.array([1e-10, 1e-6, 1e-3, 0.1, 0.5, 2.0])
+    a = rng.standard_normal((r, distances.size))
+    a /= np.linalg.norm(a, axis=0)
+    w = Q[:, r:] @ rng.standard_normal((n - r, distances.size))
+    w /= np.linalg.norm(w, axis=0)
+    phi = np.hstack([Q[:, :r] @ a + distances * w, rng.standard_normal((n, 10))])
+    B = Q[:, :r] @ rng.standard_normal((r, 4))
+    problem = MmvProblem(A=MeasurementMatrix.from_entries(phi), B=B, epsilon=0.0)
+    scores = music_scores(problem, r)
+    Us = np.linalg.svd(B)[0][:, :r]
+    for j in range(phi.shape[1]):
+        coef = np.linalg.lstsq(Us, phi[:, j], rcond=None)[0]
+        oracle = np.linalg.norm(phi[:, j] - Us @ coef) / np.linalg.norm(phi[:, j])
+        assert abs(scores[j] - oracle) <= 1e-12
+    exact = distances / np.sqrt(1.0 + distances**2)
+    assert np.abs(scores[: distances.size] - exact).max() <= 1e-12
+    assert music_support(problem, 2).support == SupportSet((0, 1))

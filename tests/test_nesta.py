@@ -471,6 +471,13 @@ def test_iterative_nesta_validation():
         iterative_nesta(inst.problem, 12)
 
 
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), 2.5, 0])
+def test_iterative_nesta_rejects_a_k_that_is_no_positive_integer(k):
+    inst = gen_instance(ProblemSpec(n=6, N=12, L=2, k=2, rank=2, seed=0))
+    with pytest.raises(InvalidArgumentError, match=f"k .*got {k!r}"):
+        iterative_nesta(inst.problem, k)
+
+
 def test_iterative_nesta_recovers_support():
     inst = gen_instance(ProblemSpec(n=12, N=24, L=4, k=3, rank=3, seed=9))
     report = iterative_nesta(inst.problem, 3)
