@@ -11,8 +11,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .core import (
     DegenerateInputError,
     InfeasibleProblemError,
@@ -29,6 +27,7 @@ from .harness import (
     SOLVERS,
     parse_sweep_config,
     run_sweep,
+    score_trial,
     solve_problems,
 )
 from .music import MUSIC_DELTA, music_support
@@ -131,10 +130,9 @@ def _cmd_solve(args):
         raise report
     rel_error = support_exact = ""  # scored only against a ground truth
     if instance is not None:
-        truth = instance.X_true
-        rel = float(np.linalg.norm(report.estimate - truth) / np.linalg.norm(truth))
-        rel_error = f" rel_error={rel!r}"
-        support_exact = f" support_exact={int(report.detected_support == instance.support_true)}"
+        scored = score_trial(args.solver, instance, report)
+        rel_error = f" rel_error={scored.relative_error!r}"
+        support_exact = f" support_exact={int(scored.support_exact)}"
     print(
         f"solver={args.solver}{rel_error} residual={report.final_residual!r}{support_exact} "
         f"inner_iters={report.inner_iterations} outer_iters={report.outer_iterations} "

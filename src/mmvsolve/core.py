@@ -8,6 +8,7 @@ n <= N in the regime the solvers target. All storage is dense.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,19 +55,57 @@ def as_matrix(X, name="matrix"):
     return X
 
 
-def as_count(value, name):
-    """value as an int of at least 1, such as a sparsity or an iteration cap.
+def as_count(value, name, below=None, least=1):
+    """value as an int of at least ``least`` (1 by default, 0 for a seed)
+    and, when ``below`` is given, less than it: a sparsity k < N, an
+    iteration cap.
 
-    Integral floats are accepted (2.0 is 2); anything else raises
-    InvalidArgumentError naming the value.
+    Integral floats are accepted (2.0 is 2); anything else, nan and inf
+    included, raises InvalidArgumentError naming the value.
     """
     try:
         whole = int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not whole or value < 1:
-        raise InvalidArgumentError(f"{name} must be a positive integer, got {value!r}")
+    if not whole or value < least or (below is not None and value >= below):
+        if below is None:
+            span = "a positive integer"
+        else:
+            span = f"an integer in [{least}, {below - 1}]"
+        raise InvalidArgumentError(f"{name} must be {span}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name, zero_ok=False, below=None):
+    """value as a finite float above 0 (or at least 0 with ``zero_ok``) and,
+    when ``below`` is given, less than it: a radius, a step, a tolerance.
+
+    nan, inf, strings and other non-numbers raise InvalidArgumentError
+    naming the value.
+    """
+    try:
+        x = math.nan if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    above_zero = x >= 0 if zero_ok else x > 0
+    if not (math.isfinite(x) and above_zero and (below is None or x < below)):
+        if below is None:
+            rule = "be finite and " + ("nonnegative" if zero_ok else "positive")
+        else:
+            rule = f"lie in {'[' if zero_ok else '('}0, {below})"
+        raise InvalidArgumentError(f"{name} must {rule}, got {value!r}")
+    return x
+
+
+def gram_deviation(M, c=None):
+    """max|M M^T - c I| and c, which defaults to the mean diagonal entry of
+    M M^T: the one certificate of the package. M M^T = c I is certified
+    when the deviation is at most ROW_ORTHO_TOL * c."""
+    gram = M @ M.T
+    if c is None:
+        c = float(np.trace(gram) / gram.shape[0])
+    gram[np.diag_indices_from(gram)] -= c
+    return float(np.abs(gram).max()), c
 
 
 @dataclass(frozen=True)
@@ -147,13 +186,8 @@ class MeasurementMatrix:
                 stacklevel=2,
             )
         if self.row_orthonormal:
-            c = self.row_gram_scale
-            if c is None or not np.isfinite(c) or c <= 0:
-                raise InvalidArgumentError(
-                    "row_orthonormal requires a positive row_gram_scale"
-                )
-            gram = entries @ entries.T
-            dev = np.abs(gram - c * np.eye(gram.shape[0])).max()
+            c = as_real(self.row_gram_scale, "row_gram_scale")
+            dev = gram_deviation(entries, c)[0]
             if dev > ROW_ORTHO_TOL * c:
                 raise InvalidArgumentError(
                     f"row-orthonormality certificate fails: max|A A^T - cI| = {dev:g}"
@@ -163,9 +197,8 @@ class MeasurementMatrix:
     def from_entries(cls, entries):
         """Wrap a raw array, certifying A @ A.T = c * I when it holds."""
         entries = as_matrix(entries, "measurement matrix")
-        gram = entries @ entries.T
-        c = float(np.trace(gram) / gram.shape[0])
-        if c > 0 and np.abs(gram - c * np.eye(gram.shape[0])).max() <= ROW_ORTHO_TOL * c:
+        dev, c = gram_deviation(entries)
+        if c > 0 and dev <= ROW_ORTHO_TOL * c:
             return cls(entries, row_orthonormal=True, row_gram_scale=c)
         return cls(entries)
 
@@ -201,16 +234,12 @@ class MmvProblem:
             raise InvalidArgumentError(
                 f"measurement block has {self.B.shape[0]} rows, expected {self.A.n}"
             )
-        self.epsilon = float(self.epsilon)
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise InvalidArgumentError(
-                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
-            )
+        self.epsilon = as_real(self.epsilon, "epsilon", zero_ok=True)
         if self.Psi is not None:
             P = as_matrix(self.Psi, "sparsifying transform")
             if P.shape != (self.A.N, self.A.N):
                 raise InvalidArgumentError("Psi must be square N x N")
-            dev = np.abs(P.T @ P - np.eye(P.shape[0])).max()
+            dev = gram_deviation(P.T, 1.0)[0]
             if dev > ROW_ORTHO_TOL:
                 raise InvalidArgumentError(
                     f"Psi is not orthonormal: max|Psi^T Psi - I| = {dev:g}"
@@ -338,10 +367,8 @@ def lstsq_rows(phi, B, rows):
 
 def row_support(X, tol=0.0):
     """Indices of rows whose l2 norm exceeds tol, ascending."""
-    if tol < 0:
-        raise InvalidArgumentError("tol must be nonnegative")
-    norms = row_norms(X, 2)
-    return SupportSet._of_sorted(np.flatnonzero(norms > tol))
+    tol = as_real(tol, "tol", zero_ok=True)
+    return SupportSet._of_sorted(np.flatnonzero(row_norms(X, 2) > tol))
 
 
 def rank_above(sv, tol):
@@ -374,8 +401,7 @@ def spark(A, rank_tol=1e-10):
         raise SizeLimitError(
             f"spark is brute-force only; refusing N = {N} > {SPARK_MAX_COLUMNS} columns"
         )
-    if rank_tol < 0:
-        raise InvalidArgumentError("rank_tol must be nonnegative")
+    rank_tol = as_real(rank_tol, "rank_tol", zero_ok=True, below=1)
     r = _numerical_rank(M, rank_tol)
     if r == N:
         return N + 1
@@ -403,14 +429,11 @@ def row_orthonormalize(A):
         raise DegenerateInputError("matrix is rank deficient; rows cannot be orthonormalized")
     # fix the QR sign ambiguity so already-orthonormal inputs round-trip
     signs = np.where(diag >= 0, 1.0, -1.0)
-    At = (Q * signs).T
-    gram = At @ At.T
-    dev = np.abs(gram - np.eye(gram.shape[0])).max()
-    if dev > ROW_ORTHO_TOL:
-        raise DegenerateInputError(
-            f"orthonormalization failed certification: max|A A^T - I| = {dev:g}"
-        )
-    return MeasurementMatrix(np.ascontiguousarray(At), row_orthonormal=True, row_gram_scale=1.0)
+    At = np.ascontiguousarray((Q * signs).T)
+    try:
+        return MeasurementMatrix(At, row_orthonormal=True, row_gram_scale=1.0)
+    except InvalidArgumentError as exc:
+        raise DegenerateInputError(f"orthonormalization failed: {exc}") from None
 
 
 def write_matrix(path, X):

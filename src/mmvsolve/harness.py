@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SOLVER_ERRORS, InvalidArgumentError, MmvProblem
+from .core import SOLVER_ERRORS, InvalidArgumentError, MmvProblem, as_count, as_real
 from .iht import IhtConfig, iht_solve
 from .nesta import (
     RecoveryReport,
@@ -41,10 +41,23 @@ SOLVER_IHT = "iht"
 SOLVER_SMV = "smv"
 SOLVERS = (SOLVER_NESTA, SOLVER_ITERATIVE_NESTA, SOLVER_IHT, SOLVER_SMV)
 
-RESULT_HEADER = (
-    "solver,n,N,L,k,rank,noise_sigma,seed,relative_error,support_exact,"
-    "inner_iters,outer_iters,wall_time_s,success"
+# The outcome columns of a results row. Each names the TrialResult field
+# that a trial row shows, and the aggregate that an aggregate row shows,
+# with the reduction over the cell's trials that gives it.
+_OUTCOMES = (
+    ("relative_error", "relative_error", "median_relative_error", np.median),
+    ("support_exact", "support_exact", "support_exact_rate", np.mean),
+    ("inner_iters", "inner_iterations", "median_inner_iters", np.median),
+    ("outer_iters", "outer_iterations", "median_outer_iters", np.median),
+    ("wall_time_s", "wall_time", "total_wall_time", np.sum),
+    ("success", "success", "success_rate", np.mean),
 )
+
+# The 14 columns of a results row: the solver, the spec's fields, the seed
+# (AGGREGATE_MARKER on an aggregate row), then the outcome.
+_SPEC_COLUMNS = ("n", "N", "L", "k", "rank", "noise_sigma")
+RESULT_COLUMNS = ("solver", *_SPEC_COLUMNS, "seed", *(column for column, *_ in _OUTCOMES))
+RESULT_HEADER = ",".join(RESULT_COLUMNS)
 
 # Marker in the seed column of per-cell aggregate rows.
 AGGREGATE_MARKER = "agg"
@@ -157,12 +170,12 @@ def solve_problems(solver, problems, k, cfg=None, use_music=False):
     return reports
 
 
-def _trial_result(spec, solver, instance, report, success_threshold):
+def score_trial(solver, instance, report, success_threshold=SUCCESS_THRESHOLD):
     """Score a report (or a solver error) against the instance's truth; the
     trial's wall time is the report's, 0.0 for an error."""
     if isinstance(report, Exception):
         return TrialResult(
-            spec=spec,
+            spec=instance.spec,
             solver=solver,
             relative_error=float("inf"),
             support_exact=False,
@@ -175,7 +188,7 @@ def _trial_result(spec, solver, instance, report, success_threshold):
     truth_norm = float(np.linalg.norm(instance.X_true))
     rel = float(np.linalg.norm(report.estimate - instance.X_true)) / truth_norm
     return TrialResult(
-        spec=spec,
+        spec=instance.spec,
         solver=solver,
         relative_error=rel,
         support_exact=report.detected_support == instance.support_true,
@@ -190,17 +203,18 @@ def run_trial(spec, solver):
     """Generate, solve, and score one instance: a sweep cell of one trial,
     scored at SUCCESS_THRESHOLD. Solver failures are recorded in the result
     (success False, error note) rather than raised."""
-    (result,) = _cell_results([spec], [gen_instance(spec)], solver, SUCCESS_THRESHOLD)
+    (result,) = _cell_results([gen_instance(spec)], solver, SUCCESS_THRESHOLD)
     return result
 
 
-def _cell_results(specs, instances, solver, success_threshold):
+def _cell_results(instances, solver, success_threshold):
     """The trial results of one solver on a cell's instances; each trial's
     wall time is its report's (a share of the batch for batched solvers)."""
-    reports = solve_problems(solver, [inst.problem for inst in instances], specs[0].k)
+    k = instances[0].spec.k
+    reports = solve_problems(solver, [inst.problem for inst in instances], k)
     return [
-        _trial_result(spec, solver, inst, report, success_threshold)
-        for spec, inst, report in zip(specs, instances, reports)
+        score_trial(solver, inst, report, success_threshold)
+        for inst, report in zip(instances, reports)
     ]
 
 
@@ -217,12 +231,10 @@ class SweepConfig:
     success_threshold: float = SUCCESS_THRESHOLD
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        if not (np.isfinite(self.success_threshold) and self.success_threshold > 0):
-            raise InvalidArgumentError(
-                f"success_threshold must be finite and positive, got {self.success_threshold!r}"
-            )
+        object.__setattr__(self, "trials", as_count(self.trials, "trials"))
+        object.__setattr__(
+            self, "success_threshold", as_real(self.success_threshold, "success_threshold")
+        )
         if not self.solvers:
             raise InvalidArgumentError("at least one solver is required")
         for s in self.solvers:
@@ -258,7 +270,7 @@ def _fmt(value):
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -273,7 +285,7 @@ def run_sweep(sweep):
     """
     fh = open(sweep.output, "w")
     try:
-        fh.write(f"# success_threshold = {_fmt(float(sweep.success_threshold))}\n")
+        fh.write(f"# success_threshold = {_fmt(sweep.success_threshold)}\n")
         fh.write(RESULT_HEADER + "\n")
         all_results = []
         aggregates = {}
@@ -285,7 +297,7 @@ def run_sweep(sweep):
                 ]
                 instances = [gen_instance(spec) for spec in specs]
                 for solver in sweep.solvers:
-                    cell = _cell_results(specs, instances, solver, sweep.success_threshold)
+                    cell = _cell_results(instances, solver, sweep.success_threshold)
                     fh.writelines(_trial_row(result) + "\n" for result in cell)
                     agg = _aggregate(cell)
                     aggregates[(n, k, solver)] = agg
@@ -296,53 +308,21 @@ def run_sweep(sweep):
         fh.close()
 
 
-def _trial_row(r):
-    s = r.spec
-    fields = (
-        r.solver,
-        s.n,
-        s.N,
-        s.L,
-        s.k,
-        s.rank,
-        float(s.noise_sigma),
-        s.seed,
-        float(r.relative_error),
-        r.support_exact,
-        r.inner_iterations,
-        r.outer_iterations,
-        float(r.wall_time),
-        r.success,
-    )
+def _row(solver, spec, seed, outcome):
+    """One row of RESULT_COLUMNS, with the six ``outcome`` values last."""
+    fields = (solver, *(getattr(spec, c) for c in _SPEC_COLUMNS), seed, *outcome)
     return ",".join(_fmt(v) for v in fields)
+
+
+def _trial_row(r):
+    return _row(r.solver, r.spec, r.spec.seed, (getattr(r, f) for _, f, _, _ in _OUTCOMES))
 
 
 def _aggregate(cell):
     return {
-        "success_rate": float(np.mean([r.success for r in cell])),
-        "support_exact_rate": float(np.mean([r.support_exact for r in cell])),
-        "median_relative_error": float(np.median([r.relative_error for r in cell])),
-        "median_inner_iters": float(np.median([r.inner_iterations for r in cell])),
-        "median_outer_iters": float(np.median([r.outer_iterations for r in cell])),
-        "total_wall_time": float(np.sum([r.wall_time for r in cell])),
+        name: float(reduce([getattr(r, f) for r in cell])) for _, f, name, reduce in _OUTCOMES
     }
 
 
 def _aggregate_row(solver, spec, agg):
-    fields = (
-        solver,
-        spec.n,
-        spec.N,
-        spec.L,
-        spec.k,
-        spec.rank,
-        float(spec.noise_sigma),
-        AGGREGATE_MARKER,
-        agg["median_relative_error"],
-        agg["support_exact_rate"],
-        agg["median_inner_iters"],
-        agg["median_outer_iters"],
-        agg["total_wall_time"],
-        agg["success_rate"],
-    )
-    return ",".join(_fmt(v) for v in fields)
+    return _row(solver, spec, AGGREGATE_MARKER, (agg[name] for _, _, name, _ in _OUTCOMES))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, as_count, hard_threshold_rows, lstsq_rows
+from .core import InvalidArgumentError, as_count, as_real, hard_threshold_rows, lstsq_rows
 from .music import music_support
 from .nesta import RecoveryReport
 
@@ -86,8 +86,8 @@ class IhtConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_count(self.k, "k"))
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise InvalidArgumentError(f"step must be finite and positive, got {self.step!r}")
+        if self.step is not None:
+            as_real(self.step, "step")
         if self.step is not None and self.adaptive_step:
             raise InvalidArgumentError(
                 "step and adaptive_step=True exclude each other: the adaptive rule "
@@ -286,10 +286,7 @@ def iht_solve(problem, cfg):
     t0 = time.perf_counter()
     phi = problem.phi
     B = problem.B
-    if not 1 <= cfg.k < problem.N:
-        raise InvalidArgumentError(
-            f"k must satisfy 1 <= k < N = {problem.N}, got {cfg.k}"
-        )
+    as_count(cfg.k, "k", below=problem.N)
     if not np.any(phi):
         raise InvalidArgumentError("measurement operator is zero")
     if cfg.adaptive_step:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_count, as_matrix, rank_above, top_k
+from .core import SupportSet, as_count, as_matrix, as_real, rank_above, top_k
 
 # Default relative singular-value threshold of the rank estimate.
 MUSIC_DELTA = 1e-8
@@ -36,17 +36,10 @@ class MusicResult:
     support: SupportSet
 
 
-def _signal_rank(sv, delta):
-    """:func:`rank_above` with delta checked to lie in (0, 1)."""
-    if not 0 < delta < 1:
-        raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta!r}")
-    return rank_above(sv, delta)
-
-
 def estimate_rank(B, delta):
     """Number of singular values of B above delta times the largest."""
     B = as_matrix(B, "measurement block")
-    return _signal_rank(np.linalg.svd(B, compute_uv=False), delta)
+    return rank_above(np.linalg.svd(B, compute_uv=False), as_real(delta, "delta", below=1))
 
 
 def _subspace_scores(phi, Us):
@@ -79,12 +72,7 @@ def music_scores(problem, r):
     phi_j - U_s (U_s^T phi_j); every score is then within ~1e-14 of the
     residual's. Zero columns cannot be scored and get score 1.
     """
-    n_sv = min(problem.n, problem.L)
-    r = as_count(r, "subspace dimension r")
-    if r > n_sv:
-        raise InvalidArgumentError(
-            f"subspace dimension r must be an integer in [1, {n_sv}], got {r!r}"
-        )
+    r = as_count(r, "subspace dimension r", below=min(problem.n, problem.L) + 1)
     U = np.linalg.svd(problem.B, full_matrices=False)[0]
     return _subspace_scores(problem.phi, U[:, :r])
 
@@ -96,12 +84,11 @@ def music_support(problem, k, delta=MUSIC_DELTA):
     relative threshold ``delta`` (suited to noiseless synthetic data; pick a
     larger value explicitly for noisy runs). Ties keep the lowest index.
     """
-    k = as_count(k, "k")
-    if k >= problem.N:
-        raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
+    k = as_count(k, "k", below=problem.N)
+    delta = as_real(delta, "delta", below=1)
     # the rank and the scores come from one thin SVD of B
     U, sv, _ = np.linalg.svd(problem.B, full_matrices=False)
-    r = _signal_rank(sv, delta)
+    r = rank_above(sv, delta)
     if r:
         scores = _subspace_scores(problem.phi, U[:, :r])
     else:

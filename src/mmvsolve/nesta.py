@@ -80,6 +80,7 @@ from .core import (
     SupportSet,
     as_count,
     as_matrix,
+    as_real,
     hard_threshold_rows,
     row_norms,
     row_support,
@@ -137,8 +138,8 @@ class NestaConfig:
     max_inner_iters: int = 5000
 
     def __post_init__(self):
-        if self.mu_final is not None and not (math.isfinite(self.mu_final) and self.mu_final > 0):
-            raise InvalidArgumentError(f"mu_final must be positive, got {self.mu_final!r}")
+        if self.mu_final is not None:
+            as_real(self.mu_final, "mu_final")
         object.__setattr__(
             self, "max_inner_iters", as_count(self.max_inner_iters, "max_inner_iters")
         )
@@ -259,9 +260,7 @@ class FeasibilityProjector:
     def __init__(self, phi, B, eps, gram_scale=None, basis=None):
         self.phi = phi
         self.B = B
-        self.eps = float(eps)
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise InvalidArgumentError(f"eps must be finite and nonnegative, got {self.eps!r}")
+        self.eps = as_real(eps, "eps", zero_ok=True)
         self.gram_scale = gram_scale
         self.newton_steps = 0
         self.newton_cap_hits = 0
@@ -897,9 +896,7 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     ``use_music`` the first pass trusts the min(rank, k) best-scored rows
     of :func:`music_support`, since trusted rows are taken at face value.
     """
-    k = as_count(k, "k")
-    if k >= problem.N:
-        raise InvalidArgumentError(f"k must be an integer in [1, N), got {k!r}")
+    k = as_count(k, "k", below=problem.N)
     t0 = time.perf_counter()
     base = SmoothingConfig() if smoothing is None else smoothing
 

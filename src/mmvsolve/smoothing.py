@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix
+from .core import InvalidArgumentError, SupportSet, as_matrix, as_real
 
 AGGREGATOR_ROW_L2 = "row_l2"
 AGGREGATOR_ENTRY_L1 = "entry_l1"
@@ -44,8 +44,7 @@ class SmoothingConfig:
     known_support: SupportSet = SupportSet()
 
     def __post_init__(self):
-        if not np.isfinite(self.mu) or self.mu <= 0:
-            raise InvalidArgumentError(f"mu must be positive, got {self.mu!r}")
+        as_real(self.mu, "mu")
         if self.aggregator not in AGGREGATORS:
             raise InvalidArgumentError(
                 f"unknown aggregator {self.aggregator!r}; use one of {AGGREGATORS}"

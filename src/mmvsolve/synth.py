@@ -20,6 +20,8 @@ from .core import (
     MeasurementMatrix,
     MmvProblem,
     SupportSet,
+    as_count,
+    as_real,
     rank_above,
     read_matrix,
     row_orthonormalize,
@@ -88,8 +90,7 @@ class Rng64:
 
     def below(self, bound):
         """Uniform integer in [0, bound)."""
-        if bound < 1:
-            raise InvalidArgumentError("bound must be positive")
+        bound = as_count(bound, "bound")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()
@@ -144,7 +145,11 @@ class Rng64:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything needed to regenerate one instance, including the seed."""
+    """Everything needed to regenerate one instance, including the seed.
+
+    The sizes and the seed are stored as ints and noise_sigma as a float,
+    so an integral float such as 32.0 gives the instance of the int.
+    """
 
     n: int
     N: int
@@ -156,26 +161,17 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "N", "L", "k", "rank"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise InvalidArgumentError(f"{name} must be a positive integer, got {v!r}")
-        if self.k >= self.N:
-            raise InvalidArgumentError(f"k = {self.k} must be < N = {self.N}")
-        if self.rank > min(self.k, self.L):
-            raise InvalidArgumentError(
-                f"rank = {self.rank} must be <= min(k, L) = {min(self.k, self.L)}"
-            )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidArgumentError(
-                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma!r}"
-            )
+        checked = {name: as_count(getattr(self, name), name) for name in ("n", "N", "L")}
+        checked["k"] = as_count(self.k, "k", below=checked["N"])
+        checked["rank"] = as_count(self.rank, "rank", below=min(checked["k"], checked["L"]) + 1)
+        checked["noise_sigma"] = as_real(self.noise_sigma, "noise_sigma", zero_ok=True)
+        checked["seed"] = as_count(self.seed, "seed", below=_MASK64 + 1, least=0)
         if self.matrix_kind not in MATRIX_KINDS:
             raise InvalidArgumentError(
                 f"unknown matrix_kind {self.matrix_kind!r}; use one of {MATRIX_KINDS}"
             )
-        if not 0 <= int(self.seed) <= _MASK64:
-            raise InvalidArgumentError("seed must fit in 64 unsigned bits")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_fields(cls, fields):

@@ -1,10 +1,13 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmvsolve
 from mmvsolve import ProblemSpec, gen_instance, write_matrix
 from mmvsolve.cli import main
 
@@ -199,6 +202,16 @@ def test_spark_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
+def test_spark_rejects_a_tolerance_outside_0_1(tmp_path, capsys, tol):
+    path = tmp_path / "m.csv"
+    write_matrix(path, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    assert main(["spark", "--matrix", str(path), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "rank_tol" in captured.err
+
+
 def test_spark_missing_file_exits_4(tmp_path, capsys):
     assert main(["spark", "--matrix", str(tmp_path / "nope.csv")]) == 4
     capsys.readouterr()
@@ -273,11 +286,15 @@ def test_sweep_non_finite_success_threshold_exits_2(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package under test, wherever pytest found it
+    source = str(Path(mmvsolve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mmvsolve", "solve", "--n", "8", "--N", "16",
          "--L", "2", "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("solver=nesta ")

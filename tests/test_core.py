@@ -19,7 +19,7 @@ from mmvsolve import (
     spark,
     write_matrix,
 )
-from mmvsolve.core import rank_above, top_k
+from mmvsolve.core import ROW_ORTHO_TOL, as_count, as_real, gram_deviation, rank_above, top_k
 
 
 def test_row_norms_examples():
@@ -151,6 +151,58 @@ def test_row_support_examples():
     assert len(row_support(np.zeros((3, 2)), 0.0)) == 0
     assert tuple(row_support([[0, 0], [1e-12, 0], [2, 1]], 1e-9)) == (2,)
     assert tuple(row_support(np.eye(2), 0.0)) == (0, 1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, "0.1"])
+def test_row_support_rejects_a_tolerance_that_is_no_finite_nonnegative_real(tol):
+    with pytest.raises(InvalidArgumentError, match=f"tol .*got {tol!r}"):
+        row_support(np.eye(2), tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 1.0])
+def test_spark_rejects_a_relative_tolerance_outside_0_1(tol):
+    with pytest.raises(InvalidArgumentError, match=f"rank_tol .*got {tol!r}"):
+        spark(np.eye(3), rank_tol=tol)
+
+
+def test_count_rule_takes_an_exclusive_upper_bound():
+    assert as_count(3.0, "k", below=4) == 3
+    for value in (4, 0, 2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(InvalidArgumentError, match=r"k must be an integer in \[1, 3\]"):
+            as_count(value, "k", below=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, ok, bad, rule",
+    [
+        ({}, [1e-300, 5], [0.0, -1.0], "be finite and positive"),
+        ({"zero_ok": True}, [0.0, 5], [-1e-300], "be finite and nonnegative"),
+        ({"below": 1}, [0.5], [0.0, 1.0], r"lie in \(0, 1\)"),
+        ({"zero_ok": True, "below": 1}, [0.0, 0.5], [1.0, -1.0], r"lie in \[0, 1\)"),
+    ],
+)
+def test_real_rule_forms(kwargs, ok, bad, rule):
+    for value in ok:
+        assert as_real(value, "x", **kwargs) == value
+    for value in bad + [float("nan"), float("inf"), None, "0.5"]:
+        with pytest.raises(InvalidArgumentError, match=f"x must {rule}, got"):
+            as_real(value, "x", **kwargs)
+
+
+def test_gram_deviation_is_the_certificate_of_every_operator_check():
+    rng = np.random.default_rng(5)
+    A = row_orthonormalize(rng.standard_normal((4, 9)))
+    assert A.row_gram_scale == 1.0
+    dev, c = gram_deviation(3.0 * A.entries)
+    assert c == pytest.approx(9.0) and dev <= ROW_ORTHO_TOL * c
+    assert MeasurementMatrix.from_entries(3.0 * A.entries).row_gram_scale == c
+    M = rng.standard_normal((3, 5))
+    dev, c = gram_deviation(M, 2.0)
+    assert c == 2.0 and dev == np.abs(M @ M.T - 2.0 * np.eye(3)).max()
+    with pytest.raises(InvalidArgumentError, match="row_gram_scale .*got None"):
+        MeasurementMatrix(M, row_orthonormal=True)
+    with pytest.raises(InvalidArgumentError, match="certificate fails"):
+        MeasurementMatrix(M, row_orthonormal=True, row_gram_scale=1.0)
 
 
 def test_support_set_validation():

@@ -272,6 +272,19 @@ def test_sweep_config_validation():
         SweepConfig(base=base, solvers=("unknown",), trials=1, output="x.csv")
 
 
+@pytest.mark.parametrize("trials", [float("nan"), float("inf"), 2.5])
+def test_sweep_config_rejects_a_trial_count_that_is_no_integer(trials):
+    with pytest.raises(InvalidArgumentError, match=f"trials .*got {trials!r}"):
+        SweepConfig(base=small_spec(), solvers=("nesta",), trials=trials, output="x.csv")
+
+
+def test_result_columns_are_the_fourteen_of_the_csv():
+    assert RESULT_HEADER == (
+        "solver,n,N,L,k,rank,noise_sigma,seed,relative_error,support_exact,"
+        "inner_iters,outer_iters,wall_time_s,success"
+    )
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
 def test_sweep_config_rejects_non_positive_or_non_finite_threshold(threshold):
     with pytest.raises(InvalidArgumentError, match=f"success_threshold .*got {threshold!r}"):

@@ -27,6 +27,32 @@ def test_spec_validation():
         ProblemSpec(n=4, N=8, L=2, k=3, rank=2, matrix_kind="bernoulli")
 
 
+def test_spec_stores_integral_float_sizes_as_ints():
+    floats = ProblemSpec(n=32.0, N=64.0, L=4.0, k=8.0, rank=4.0, seed=7.0)
+    ints = ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=7)
+    assert floats == ints
+    assert all(type(getattr(floats, f)) is int for f in ("n", "N", "L", "k", "rank", "seed"))
+    a, b = gen_instance(floats), gen_instance(ints)
+    for x, y in ((a.problem.A.entries, b.problem.A.entries), (a.problem.B, b.problem.B)):
+        assert x.tobytes() == y.tobytes()
+    assert a.X_true.tobytes() == b.X_true.tobytes()
+
+
+@pytest.mark.parametrize("name", ["n", "N", "L", "k", "rank"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5])
+def test_spec_rejects_a_size_that_is_no_integer(name, value):
+    fields = dict(n=4, N=8, L=2, k=3, rank=2)
+    fields[name] = value
+    with pytest.raises(InvalidArgumentError, match=f"{name} must be .*got {value!r}"):
+        ProblemSpec(**fields)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64, float("nan")])
+def test_spec_rejects_a_seed_outside_64_unsigned_bits(seed):
+    with pytest.raises(InvalidArgumentError, match=f"seed .*got {seed!r}"):
+        ProblemSpec(n=4, N=8, L=2, k=3, rank=2, seed=seed)
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_spec_rejects_non_finite_noise(sigma):
     with pytest.raises(InvalidArgumentError, match="noise_sigma"):
