@@ -198,9 +198,13 @@ class MeasurementMatrix:
         """Wrap a raw array, certifying A @ A.T = c * I when it holds."""
         entries = as_matrix(entries, "measurement matrix")
         dev, c = gram_deviation(entries)
+        matrix = cls(entries)
         if c > 0 and dev <= ROW_ORTHO_TOL * c:
-            return cls(entries, row_orthonormal=True, row_gram_scale=c)
-        return cls(entries)
+            # dev is the deviation __post_init__ would form again from c:
+            # certify from it, so that A A^T is formed once
+            object.__setattr__(matrix, "row_orthonormal", True)
+            object.__setattr__(matrix, "row_gram_scale", c)
+        return matrix
 
     @property
     def n(self):

@@ -244,6 +244,12 @@ class SweepConfig:
             object.__setattr__(self, "grid_k", (self.base.k,))
         if not self.grid_n:
             object.__setattr__(self, "grid_n", (self.base.n,))
+        # every cell's spec and the last trial seed are checked here, so that
+        # a bad value stops the sweep before run_sweep opens its output
+        for n in self.grid_n:
+            for k in self.grid_k:
+                replace(self.base, n=n, k=k)
+        replace(self.base, seed=self.base.seed + self.trials - 1)
 
 
 def _parse_int_list(raw):

@@ -15,13 +15,18 @@ acceptance test). A fixed-step iteration makes one dense product phi^T r,
 one ``hard_threshold_rows`` call and the residual on the k kept columns,
 B - phi[:, rows] alpha[rows], since alpha is zero off them.
 
-Once the kept rows S of a fixed-step iteration have stayed the same for
-SETTLED_ITERS iterations, the iteration tries a certified least-squares
-finish (the debiasing step of Hard Thresholding Pursuit; Foucart, SIAM J.
-Numer. Anal. 2011): it fits alpha* = lstsq(phi_S, B) and bounds every
-later iterate of the plain loop. If the bound proves that H_k keeps S
-forever, alpha* is the plain loop's limit, and the iteration steps from it
-and stops; otherwise it goes on exactly as before.
+A fixed-step iteration tries a certified least-squares finish (the
+debiasing step of Hard Thresholding Pursuit; Foucart, SIAM J. Numer. Anal.
+2011) at its start and once its kept rows S have stayed the same for
+SETTLED_ITERS iterations: it fits alpha* = lstsq(phi_S, B) and bounds
+every later iterate of the plain loop. If the bound proves that H_k keeps
+S forever, alpha* is the plain loop's limit, and the solve ends at the
+plain step from alpha*, which the proof lets take without a new product
+or threshold; otherwise it goes on exactly as before. Each support is
+fitted once, and a retry on unchanged rows reuses the fit and the bound's
+products. The start try of the default step needs only an upper bound on
+the step, from a few Lanczos steps: the full ``spectral_norm`` runs only
+when the start is not certified.
 
 The iteration starts from the MUSIC support estimate with least-squares
 coefficients on it (subspace-augmented thresholding; Kim, Lee & Ye,
@@ -50,9 +55,13 @@ _ADAPTIVE_C = 0.01
 # ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below this.
 STOP_TOL = 1e-8
 
-# A fixed-step iteration tries the certified least-squares finish once its
-# kept rows have stayed the same for this many consecutive iterations.
+# A fixed-step iteration tries the certified least-squares finish at a MUSIC
+# start and once its kept rows have stayed the same for this many
+# consecutive iterations; math.inf turns the finish off, the start try too.
 SETTLED_ITERS = 5
+
+# Lanczos steps of the step bound for the start try (see iht_solve).
+_BOUND_STEPS = 8
 
 # The finish's off-support bound must stay below its kept-row bound by this
 # fraction of the fit's largest kept row norm, against round-off.
@@ -74,7 +83,7 @@ class IhtConfig:
     is certified and the Lanczos estimate ``spectral_norm`` otherwise).
     Iteration stops once the relative iterate change
     ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below STOP_TOL, or at
-    ``max_iters``. A fixed-step iteration also stops one step after a
+    ``max_iters``. A fixed-step iteration also stops at an accepted
     certified least-squares finish (see ``iht_solve``). ``adaptive_step``
     chooses each step itself, so it takes no ``step``.
     """
@@ -196,60 +205,121 @@ def _operator_norm(problem):
     return math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(problem.phi)
 
 
-def _initial_point(problem, k, step):
-    """MUSIC support with least-squares rows, or H_k(init_step * phi^T B).
+def _fixed_step(problem, cfg):
+    """The fixed step: ``cfg.step``, or 0.98 / ||phi||_2^2 by default,
+    after checking ||phi||_2 and the stability condition."""
+    op_norm = _operator_norm(problem)
+    if not 0.0 < op_norm * op_norm < math.inf:
+        raise InvalidArgumentError(
+            f"||phi||_2 = {op_norm:g} is out of range: its square bounds the step"
+        )
+    step = 0.98 / op_norm**2 if cfg.step is None else cfg.step
+    # the boundary step * ||phi||^2 = 1 still majorizes the residual,
+    # and orthonormal-column operators use it, so only reject beyond it
+    if step * op_norm**2 > 1.0 + 1e-9:
+        raise InvalidArgumentError(
+            f"step {step:g} violates the stability condition "
+            f"step * ||phi||_2^2 <= 1 (||phi||_2 = {op_norm:g})"
+        )
+    return step
 
-    The thresholded correlation is kept only where MUSIC carries no
-    information: an estimated signal rank of 0 (zero data) or of n (every
-    column then lies in the signal subspace). Its init_step is the fixed
-    ``step``, or 1 / ||phi||_2^2 for the adaptive rule (``step`` None).
+
+class _SupportFit:
+    """The least-squares fit on one support S, formed once per support.
+
+    ``fit`` is alpha* = lstsq(phi_S, B) on S = ``rows`` and zero elsewhere;
+    ``rank`` and ``norm`` are what lstsq reports for phi_S, and ``kept``
+    the row norms of alpha*_S. ``resid`` is r* = B - phi alpha* as the
+    iteration forms it: the dense product at the MUSIC start (which is
+    alpha*, so ``iht_solve`` sets it there), on the kept columns otherwise.
+    The certificate's products are formed by the first try that needs
+    them and kept for later tries on S: ``grad`` = g*_S = phi_S^T r* and
+    ``grad_norm`` = ||g*_j|| per row j, then, once a try has e > 0,
+    ``cross_norm`` = ||phi_j^T phi_S|| (both zero on S).
+    """
+
+    def __init__(self, phi, B, rows):
+        self.rows = rows
+        self.fit, self.rank, self.norm = lstsq_rows(phi, B, rows)
+        self.kept = np.linalg.norm(self.fit[rows], axis=1)
+        self.resid = self.grad = self.grad_norm = self.cross_norm = None
+
+
+def _off_norms(X, rows):
+    """Row norms of X, zero on ``rows``: inf where they overflow, which
+    fails the certificate's test."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    norms[rows] = 0.0
+    return norms
+
+
+def _music_start(problem, k):
+    """The MUSIC support and the least-squares fit on it, or None.
+
+    None where MUSIC carries no information: an estimated signal rank of 0
+    (zero data) or of n (every column then lies in the signal subspace).
     """
     music = music_support(problem, k)
     if not 0 < music.rank < problem.n:
-        init_step = step if step is not None else 1.0 / _operator_norm(problem) ** 2
-        return hard_threshold_rows(init_step * (problem.phi.T @ problem.B), k)
-    alpha, _, _ = lstsq_rows(problem.phi, problem.B, music.support.as_array())
-    return alpha, music.support
-
-
-def _certified_fit(phi, B, alpha, rows, step):
-    """The least-squares point on ``rows`` if plain IHT provably keeps them.
-
-    Returns (alpha*, g*), or None: alpha* = lstsq(phi_S, B) on S = ``rows``
-    and zero elsewhere, and g* = phi^T r* with r* = B - phi_S alpha*_S.
-    Soundness: on S the error of plain IHT follows
-    e_{t+1} = (I - step phi_S^T phi_S) e_t, a non-expansion while
-    step ||phi_S||_2^2 < 2, since phi_S^T r* = 0. So with e = ||alpha_S -
-    alpha*_S||_F every kept row before thresholding stays within e of
-    alpha*_i, and every off-support row step * phi_j^T r_t stays within
-    step (||g*_j|| + ||phi_j^T phi_S|| e). When the largest off-support
-    bound is below the smallest ||alpha*_i|| - e, H_k keeps S forever and
-    the iterates converge to alpha*. Costs one n x k lstsq and the
-    products phi^T r* and phi^T phi_S.
-    """
-    fit, rank, norm = lstsq_rows(phi, B, rows)
-    if rank < rows.size or step * norm**2 >= 2.0:
         return None
-    fit_S = fit[rows]
-    e = float(np.linalg.norm(alpha[rows] - fit_S))
-    kept = np.linalg.norm(fit_S, axis=1)
+    return music.support, _SupportFit(problem.phi, problem.B, music.support.as_array())
+
+
+def _certified_fit(phi, B, alpha, fitted, step):
+    """The finish on ``fitted``'s rows S if plain IHT from ``alpha`` provably keeps them.
+
+    Returns the plain loop's next iterate from alpha* = lstsq(phi_S, B),
+    or None. Soundness: on S the error of plain IHT follows
+    e_{t+1} = (I - step phi_S^T phi_S) e_t, a non-expansion while
+    step ||phi_S||_2^2 < 2, since phi_S^T r* = 0 for r* = B - phi alpha*.
+    So with e = ||alpha_S - alpha*_S||_F every kept row before thresholding
+    stays within e of alpha*_i, and every off-support row step * phi_j^T r_t
+    stays within step (||g*_j|| + ||phi_j^T phi_S|| e), g* = phi^T r*.
+    When the largest off-support bound is below the smallest ||alpha*_i|| -
+    e, H_k keeps S forever and the iterates converge to alpha*. Every bound
+    only tightens as the step shrinks, so a proof at a step holds at any
+    smaller one. At e = 0 (a try at alpha* itself, as at the MUSIC start)
+    the cross term vanishes and phi^T phi_S is not formed.
+
+    The proof also shows that H_k keeps S at the next iterate, so it is
+    alpha* + step g*_S, with no new product and no threshold. g*_S is
+    round-off, and the step takes out part of lstsq's round-off error: on
+    exact data alpha*'s residual can be ~25% above the step's, both ~1e-15
+    of ||B||.
+    """
+    rows = fitted.rows
+    if fitted.rank < rows.size or step * fitted.norm**2 >= 2.0:
+        return None
+    e = float(np.linalg.norm(alpha[rows] - fitted.fit[rows]))
+    kept = fitted.kept
     # the kept-row bound less the margin; every off-support bound is >= 0
     room = float(kept.min()) - e - _FINISH_MARGIN * float(kept.max())
     if room <= 0.0:
         return None
-    phi_S = phi[:, rows]
-    grad = phi.T @ (B - phi_S @ fit_S)
-    # Row j of phi^T phi_S is phi_j^T phi_S. It is formed L = B.shape[1]
-    # columns at a time, the shape of the gradient product phi^T r. At
-    # 128 x 512 x 8 OpenBLAS runs that on one thread, but it splits the
-    # whole 512 x 20 product over two, and waking the second thread took
-    # ~8 ms whenever the other core was busy: more than a whole solve.
-    L = B.shape[1]
-    cross = np.hstack([phi.T @ phi_S[:, lo:lo + L] for lo in range(0, rows.size, L)])
-    off_bound = np.linalg.norm(grad, axis=1) + np.linalg.norm(cross, axis=1) * e
-    off_bound[rows] = 0.0
+    if fitted.grad_norm is None:
+        if fitted.resid is None:
+            fitted.resid = B - phi[:, rows] @ fitted.fit[rows]
+        grad = phi.T @ fitted.resid
+        fitted.grad = grad[rows]
+        fitted.grad_norm = _off_norms(grad, rows)
+    off_bound = fitted.grad_norm
+    if e > 0.0:  # at e = 0 (a try at alpha* itself) the cross term is 0
+        if fitted.cross_norm is None:
+            phi_S = phi[:, rows]
+            # Row j of phi^T phi_S is phi_j^T phi_S. It is formed L = B.shape[1]
+            # columns at a time, the shape of the gradient product phi^T r. At
+            # 128 x 512 x 8 OpenBLAS runs that on one thread, but it splits the
+            # whole 512 x 20 product over two, and waking the second thread took
+            # ~8 ms whenever the other core was busy: more than a whole solve.
+            L = B.shape[1]
+            cross = np.hstack([phi.T @ phi_S[:, lo:lo + L] for lo in range(0, rows.size, L)])
+            fitted.cross_norm = _off_norms(cross, rows)
+        off_bound = off_bound + fitted.cross_norm * e
     if step * float(off_bound.max()) < room:
-        return fit, grad
+        finish = fitted.fit.copy()
+        finish[rows] += step * fitted.grad
+        return finish
     return None
 
 
@@ -263,18 +333,37 @@ def iht_solve(problem, cfg):
     k-row sparse. MUSIC scores are normalized, so the start support is
     exactly invariant under (phi, B) -> (c phi, c B), and the iterates are
     invariant under (phi, B, step) -> (c phi, c B, step / c^2) up to
-    round-off in the least-squares fit. The report's objective trace holds
-    the data residual ||B - phi alpha||_F per iteration.
+    round-off in the least-squares fit.
 
     Iteration stops once the relative iterate change falls below STOP_TOL,
-    or at ``cfg.max_iters``. With a fixed step, once the kept rows S have
-    stayed the same for SETTLED_ITERS iterations, the iteration tries the
-    certified least-squares finish: alpha* = lstsq(phi_S, B), accepted
-    only if a bound proves that the plain iteration never leaves S (so
-    alpha* is its limit). An accepted try moves alpha to alpha* and takes
-    the ordinary step from there, which then stops; a rejected try leaves
-    the iteration as it was, and the count starts again. The adaptive rule
-    never tries the finish.
+    or at ``cfg.max_iters``. With a fixed step, the iteration tries the
+    certified least-squares finish (``_certified_fit``): alpha* =
+    lstsq(phi_S, B), accepted only if a bound proves that the plain
+    iteration never leaves S (so alpha* is its limit). It tries at the
+    MUSIC start, which is alpha* on its own support (e = 0), and then
+    whenever the kept rows S have stayed the same for SETTLED_ITERS
+    iterations. An accepted try ends the solve one plain step past alpha*,
+    a step that the proof lets take without a product or a threshold; a
+    rejected try leaves the iteration as it was, and the count starts
+    again. The fit and the bound's products are formed once per support,
+    the start's fit included: a retry on unchanged rows reuses them. The
+    adaptive rule never tries the finish.
+
+    The start try of the default step on an uncertified operator needs no
+    ||phi||_2. It is made at the step bound 0.98 / rho, with rho the top
+    Ritz value of _BOUND_STEPS Lanczos steps (``spectral_norm`` with tol
+    0, squared). A Ritz value never exceeds ||phi||_2^2, so the bound is
+    at least the default step, and a proof at the bound holds at that step;
+    the finish then steps at the bound. Only when the start is not
+    certified (or rho is 0 or not finite) does the full ``spectral_norm``
+    run, and the iteration goes on at its usual step.
+
+    The report's objective trace holds the data residual ||B - phi alpha||_F
+    at the start, after each iteration and, when a try is accepted, at the
+    finish. ``inner_iterations`` counts the thresholded gradient steps, not
+    the finish: a certified start reports 0, and a solve whose try is
+    accepted after t iterations reports t, with t + 2 residuals in its
+    trace, the first t + 1 those of the plain loop.
 
     A fixed-step iteration calls ``hard_threshold_rows`` once (the
     adaptive step once per proposal, backtracks included) and takes the
@@ -289,39 +378,51 @@ def iht_solve(problem, cfg):
     as_count(cfg.k, "k", below=problem.N)
     if not np.any(phi):
         raise InvalidArgumentError("measurement operator is zero")
-    if cfg.adaptive_step:
-        step = None
-    else:
-        op_norm = _operator_norm(problem)
-        if not 0.0 < op_norm * op_norm < math.inf:
-            raise InvalidArgumentError(
-                f"||phi||_2 = {op_norm:g} is out of range: its square bounds the step"
-            )
-        step = 0.98 / op_norm**2 if cfg.step is None else cfg.step
-        # the boundary step * ||phi||^2 = 1 still majorizes the residual,
-        # and orthonormal-column operators use it, so only reject beyond it
-        if step * op_norm**2 > 1.0 + 1e-9:
-            raise InvalidArgumentError(
-                f"step {step:g} violates the stability condition "
-                f"step * ||phi||_2^2 <= 1 (||phi||_2 = {op_norm:g})"
-            )
+    # the default step of an uncertified operator waits: the start try needs
+    # only the bound try_step, and a certified start needs no step at all
+    step = try_step = None  # both stay None for the adaptive rule
+    if not cfg.adaptive_step:
+        if cfg.step is None and not problem.A.row_orthonormal:
+            rho = spectral_norm(phi, _BOUND_STEPS, 0.0) ** 2
+            if 0.0 < rho < math.inf:
+                try_step = 0.98 / rho
+        if try_step is None:
+            step = try_step = _fixed_step(problem, cfg)
 
-    alpha, support = _initial_point(problem, cfg.k, step)
+    start = _music_start(problem, cfg.k)
+    fitted = None
+    if start is None:
+        if step is None and not cfg.adaptive_step:
+            step = _fixed_step(problem, cfg)
+        init_step = 1.0 / _operator_norm(problem) ** 2 if cfg.adaptive_step else step
+        alpha, support = hard_threshold_rows(init_step * (phi.T @ B), cfg.k)
+    else:
+        support, fitted = start
+        alpha = fitted.fit
     rows = support.as_array()
     resid = B - phi @ alpha
     trace = [float(np.linalg.norm(resid))]
+    finish = None
+    if fitted is not None and try_step is not None and SETTLED_ITERS < math.inf:
+        # the MUSIC start is alpha* on its rows: try the finish there, e = 0
+        fitted.resid = resid
+        finish = _certified_fit(phi, B, alpha, fitted, try_step)
+    if finish is None and step is None and not cfg.adaptive_step:
+        step = _fixed_step(problem, cfg)
+
     iterations = 0
     converged = False
     settled = 0  # fixed-step iterations in a row that kept the same rows
-    for iterations in range(1, cfg.max_iters + 1):
-        fit = None
+    while finish is None and not converged and iterations < cfg.max_iters:
         if settled >= SETTLED_ITERS:
             settled = 0
-            fit = _certified_fit(phi, B, alpha, rows, step)
-        if fit is not None:
-            alpha, grad = fit
-        else:
-            grad = phi.T @ resid
+            if fitted is None or not np.array_equal(fitted.rows, rows):
+                fitted = _SupportFit(phi, B, rows)
+            finish = _certified_fit(phi, B, alpha, fitted, step)
+            if finish is not None:
+                break
+        iterations += 1
+        grad = phi.T @ resid
         if cfg.adaptive_step:
             new_alpha, support, rows = _normalized_step(phi, alpha, grad, rows, cfg.k)
         else:
@@ -335,9 +436,13 @@ def iht_solve(problem, cfg):
         # alpha is zero off its k kept rows: only their columns of phi count
         resid = B - phi[:, rows] @ alpha[rows]
         trace.append(float(np.linalg.norm(resid)))
-        if change < STOP_TOL:
-            converged = True
-            break
+        converged = change < STOP_TOL
+    if finish is not None:
+        # the finish keeps the rows of the accepted try
+        alpha = finish
+        resid = B - phi[:, rows] @ alpha[rows]
+        trace.append(float(np.linalg.norm(resid)))
+        converged = True
 
     return RecoveryReport(
         estimate=problem.signal_from_coefficients(alpha),

@@ -64,7 +64,7 @@ class Rng64:
     """
 
     def __init__(self, seed):
-        self._state = int(seed) & _MASK64
+        self._state = as_count(seed, "seed", below=_MASK64 + 1, least=0)
         self._spare = None
 
     def next_u64(self):

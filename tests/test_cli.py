@@ -58,7 +58,7 @@ SOLVE_PIN = [
     "solver=iterative-nesta rel_error=6.045857596555116e-17 residual=7.505561329662603e-17 "
     "support_exact=1 inner_iters=166 outer_iters=2",
     "solver=iht rel_error=1.196228098426972e-16 residual=2.0434424045405772e-16 "
-    "support_exact=1 inner_iters=1 outer_iters=1",
+    "support_exact=1 inner_iters=0 outer_iters=1",
     "solver=smv rel_error=8.495607772136673e-05 residual=2.784217668602551e-16 "
     "support_exact=1 inner_iters=293 outer_iters=1",
     "solver=nesta rel_error=0.014777691497168278 residual=0.05388877434123126 "
@@ -298,3 +298,30 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("solver=nesta ")
+
+
+@pytest.mark.parametrize("grid", ["grid.k = 2, 32", "grid.n = 32, 0"], ids=["k", "n"])
+def test_sweep_bad_grid_value_exits_2_before_any_output(tmp_path, capsys, grid):
+    # the first cell is valid; the bad one must stop the sweep before it
+    # solves anything or touches the output file
+    out_csv = tmp_path / "res.csv"
+    out_csv.write_text("earlier results\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n = 16\nN = 32\nL = 2\nk = 2\nrank = 2\nseed = 0\ntrials = 1\n"
+        f"solvers = nesta\n{grid}\noutput = {out_csv}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out_csv.read_text() == "earlier results\n"
+
+
+def test_sweep_trial_seed_past_the_seed_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"n = 10\nN = 20\nL = 3\nk = 2\nrank = 2\nseed = {2**64 - 1}\ntrials = 2\n"
+        f"solvers = nesta\noutput = {tmp_path}/res.csv\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "res.csv").exists()

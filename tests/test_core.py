@@ -19,6 +19,7 @@ from mmvsolve import (
     spark,
     write_matrix,
 )
+from mmvsolve import core
 from mmvsolve.core import ROW_ORTHO_TOL, as_count, as_real, gram_deviation, rank_above, top_k
 
 
@@ -203,6 +204,29 @@ def test_gram_deviation_is_the_certificate_of_every_operator_check():
         MeasurementMatrix(M, row_orthonormal=True)
     with pytest.raises(InvalidArgumentError, match="certificate fails"):
         MeasurementMatrix(M, row_orthonormal=True, row_gram_scale=1.0)
+
+
+def test_from_entries_forms_the_gram_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(M, c=None):
+        calls.append(c)
+        return gram_deviation(M, c)
+
+    entries = 3.0 * row_orthonormalize(np.random.default_rng(5).standard_normal((4, 9))).entries
+    monkeypatch.setattr(core, "gram_deviation", counting)
+    A = MeasurementMatrix.from_entries(entries)
+    assert calls == [None]
+    assert A.row_orthonormal and A.row_gram_scale == gram_deviation(entries)[1]
+    calls.clear()
+    M = np.random.default_rng(6).standard_normal((3, 5))
+    assert not MeasurementMatrix.from_entries(M).row_orthonormal
+    assert calls == [None]
+    # a certificate given by hand is still checked
+    calls.clear()
+    with pytest.raises(InvalidArgumentError, match="certificate fails"):
+        MeasurementMatrix(M, row_orthonormal=True, row_gram_scale=1.0)
+    assert calls == [1.0]
 
 
 def test_support_set_validation():

@@ -83,7 +83,7 @@ def test_orthonormal_columns_recover_in_one_iteration():
         A = MeasurementMatrix.from_entries(Q)
     problem = MmvProblem(A=A, B=Q @ X, epsilon=0.0)
     report = iht_solve(problem, IhtConfig(k=2, step=1.0))
-    assert report.inner_iterations == 1
+    assert report.inner_iterations == 0  # the MUSIC start is certified
     assert report.restarts == 0  # no momentum to restart
     assert np.allclose(report.estimate, X, atol=1e-12)
     assert tuple(report.detected_support) == (1, 3)
@@ -207,8 +207,11 @@ def reference_certified_fit(phi, B, alpha, support, step):
 def reference_iht(problem, cfg):
     """The documented iteration in its plain form: the public
     hard_threshold_rows on every step and the dense residual B - phi alpha.
-    With a fixed step, the certified least-squares finish is tried after
-    every SETTLED_ITERS iterations that kept the same support.
+    With a fixed step, the certified least-squares finish is tried at a
+    MUSIC start (at the step bound 0.98 / rho of 8 Lanczos steps when the
+    default step's operator is uncertified) and after every SETTLED_ITERS
+    iterations that kept the same support. An accepted try takes one step
+    from the fit, which is not counted, and stops.
     Returns the coefficients, the last support and the iteration count."""
     phi, B, k = problem.phi, problem.B, cfg.k
     A = problem.A
@@ -220,6 +223,15 @@ def reference_iht(problem, cfg):
         rows = support.as_array()
         alpha = np.zeros((problem.N, problem.L))
         alpha[rows] = np.linalg.lstsq(phi[:, rows], B, rcond=None)[0]
+        start_step = step
+        if cfg.step is None and not A.row_orthonormal:
+            start_step = 0.98 / spectral_norm(phi, 8, 0.0) ** 2
+        fit = None
+        if not cfg.adaptive_step:
+            fit = reference_certified_fit(phi, B, alpha, support, start_step)
+        if fit is not None:
+            alpha, grad = fit
+            return hard_threshold_rows(alpha + start_step * grad, k)[0], support, 0
     else:
         init_step = 1.0 / op_norm**2 if cfg.adaptive_step else step
         alpha, support = hard_threshold_rows(init_step * (phi.T @ B), k)
@@ -227,6 +239,7 @@ def reference_iht(problem, cfg):
     settled = 0
     for iterations in range(1, cfg.max_iters + 1):
         grad = phi.T @ resid
+        fit = None
         if cfg.adaptive_step:
             new_alpha, support = reference_normalized_step(phi, alpha, grad, support, k)
         else:
@@ -238,6 +251,8 @@ def reference_iht(problem, cfg):
             new_alpha, new_support = hard_threshold_rows(alpha + step * grad, k)
             settled = settled + 1 if new_support == support else 0
             support = new_support
+        if fit is not None:
+            return new_alpha, support, iterations - 1
         change = float(np.linalg.norm(new_alpha - alpha)) / max(1.0, float(np.linalg.norm(alpha)))
         alpha = new_alpha
         resid = B - phi @ alpha
@@ -421,7 +436,7 @@ def test_adaptive_rule_skips_the_power_iteration_after_a_music_start(monkeypatch
     calls = []
 
     def counting(M, *args):
-        calls.append(M.shape)
+        calls.append((M.shape, args))
         return spectral_norm(M, *args)
 
     monkeypatch.setattr(iht, "spectral_norm", counting)
@@ -431,14 +446,16 @@ def test_adaptive_rule_skips_the_power_iteration_after_a_music_start(monkeypatch
     assert 0 < music_support(inst.problem, 6).rank < 24  # the MUSIC start
     iht_solve(inst.problem, IhtConfig(k=6, adaptive_step=True))
     assert calls == []
-    iht_solve(inst.problem, IhtConfig(k=6))  # the fixed step needs the norm
-    assert calls == [(24, 64)]
+    # the fixed step tries the start at the 8-step bound; that start is not
+    # certified, so the step needs the norm
+    iht_solve(inst.problem, IhtConfig(k=6))
+    assert calls == [((24, 64), (8, 0.0)), ((24, 64), ())]
     # rank = n: the thresholded-correlation start scales by 1 / ||phi||^2
     full_rank = gen_instance(
         ProblemSpec(n=4, N=10, L=4, k=4, rank=4, matrix_kind="gaussian", seed=0)
     )
     iht_solve(full_rank.problem, IhtConfig(k=4, adaptive_step=True))
-    assert calls == [(24, 64), (4, 10)]
+    assert calls == [((24, 64), (8, 0.0)), ((24, 64), ()), ((4, 10), ())]
 
 
 # The benchmark's iht_gaussian pool (seeds 0-31), and a Gaussian family on
@@ -537,3 +554,95 @@ def test_rejected_tries_leave_the_plain_trajectory(monkeypatch):
         problem = gen_instance(spec).problem
         cfg = IhtConfig(k=spec.k)
         assert_same_report(iht_solve(problem, cfg), without_finish(monkeypatch, problem, cfg))
+
+
+# Seeds of the iht_gaussian pool whose MUSIC start is certified: those
+# solves stop at the start, with no ||phi||_2 but the 8-step bound.
+CERTIFIED_STARTS = [1, 2, 3, 4, 5, 9, 10, 11, 12, 17, 18, 20, 21, 22, 24, 27, 28, 29, 30, 31]
+
+
+def norm_calls(monkeypatch):
+    """Record the arguments after M of each spectral_norm call of iht_solve."""
+    calls = []
+
+    def recording(M, *args):
+        calls.append(args)
+        return spectral_norm(M, *args)
+
+    monkeypatch.setattr(iht, "spectral_norm", recording)
+    return calls
+
+
+def test_certified_start_finishes_at_its_fit_without_the_norm(monkeypatch):
+    calls = norm_calls(monkeypatch)
+    problem = gen_instance(replace(POOL_SPEC, seed=1)).problem
+    phi, B = problem.phi, problem.B
+    report = iht_solve(problem, IhtConfig(k=20))
+    assert calls == [(8, 0.0)]  # the bound only: no full-accuracy norm
+    music = music_support(problem, 20)
+    rows = music.support.as_array()
+    fit = iht.lstsq_rows(phi, B, rows)[0]
+    assert report.inner_iterations == 0 and report.converged
+    assert report.detected_support == music.support
+    # the finish is the plain step from the fit at the bound's step, which
+    # H_k provably keeps on the MUSIC rows; it moves the fit by round-off
+    bound = 0.98 / spectral_norm(phi, 8, 0.0) ** 2
+    finish = fit.copy()
+    finish[rows] += bound * (phi.T @ (B - phi @ fit))[rows]
+    assert np.array_equal(report.estimate, finish)
+    assert np.abs(report.estimate - fit).max() <= 1e-15 * np.abs(fit).max()
+    assert len(report.objective_trace) == 2
+    assert report.final_residual == np.linalg.norm(B - phi[:, rows] @ finish[rows])
+
+
+def test_certified_starts_of_the_pool():
+    certified = [
+        seed
+        for seed in range(32)
+        if iht_solve(gen_instance(replace(POOL_SPEC, seed=seed)).problem, IhtConfig(k=20))
+        .inner_iterations == 0
+    ]
+    assert certified == CERTIFIED_STARTS
+
+
+def test_each_support_is_fitted_once(monkeypatch):
+    fits, accepted = [], finish_tries(monkeypatch)
+
+    def recording(phi, B, rows):
+        fits.append(tuple(rows))
+        return original(phi, B, rows)
+
+    original = iht.lstsq_rows
+    monkeypatch.setattr(iht, "lstsq_rows", recording)
+    problem = gen_instance(replace(POOL_SPEC, seed=14)).problem
+    report = iht_solve(problem, IhtConfig(k=20))
+    # the start try, then one rejected retry after another on one settled
+    # support, and an accepted one: one fit per distinct support
+    assert len(accepted) > 10 and accepted[-1]
+    assert len(fits) == len(set(fits)) == 2
+    assert fits[-1] == tuple(report.detected_support)
+
+
+def test_eight_lanczos_steps_never_exceed_the_squared_norm():
+    # the start try's step bound 0.98 / rho is sound only while rho stays
+    # at or below ||phi||_2^2
+    for seed in [*range(32), *range(7919, 7951)]:
+        phi = gen_instance(replace(POOL_SPEC, seed=seed)).problem.phi
+        assert spectral_norm(phi, 8, 0.0) ** 2 <= np.linalg.norm(phi, 2) ** 2
+
+
+def test_uncertified_start_keeps_the_plain_step_and_trajectory(monkeypatch):
+    calls = norm_calls(monkeypatch)
+    problem = gen_instance(replace(POOL_SPEC, seed=0)).problem
+    cfg = IhtConfig(k=20)
+    report = iht_solve(problem, cfg)
+    assert calls == [(8, 0.0), ()]  # rejected at the bound: then the norm
+    alpha, support, count = reference_iht(problem, cfg)
+    assert report.inner_iterations == count == 6
+    assert np.array_equal(report.estimate, alpha) and report.detected_support == support
+    # the plain loop at the full norm's step, tried nowhere: the same
+    # residuals bit for bit up to the accepted try after iteration 6
+    plain = without_finish(monkeypatch, problem, cfg)
+    assert plain.inner_iterations > count
+    assert np.array_equal(report.objective_trace[: count + 1], plain.objective_trace[: count + 1])
+    assert len(report.objective_trace) == count + 2

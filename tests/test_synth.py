@@ -72,6 +72,15 @@ def test_rng_determinism_and_range():
     assert set(draws) <= set(range(13))
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64, float("nan"), float("inf"), "3", None])
+def test_rng_rejects_the_seeds_a_spec_rejects(seed):
+    # truncating 2.5 or wrapping -1 would draw another seed's stream
+    with pytest.raises(InvalidArgumentError, match=f"seed .*got {seed!r}"):
+        Rng64(seed)
+    with pytest.raises(InvalidArgumentError, match=f"seed .*got {seed!r}"):
+        ProblemSpec(n=4, N=8, L=2, k=3, rank=2, seed=seed)
+
+
 def test_rng_normals_moments():
     r = Rng64(99)
     xs = r.normals(200, 50).ravel()
