@@ -49,9 +49,9 @@ def _build_parser():
     solve.add_argument("--L", type=int)
     solve.add_argument("--k", type=int)
     solve.add_argument("--rank", type=int)
-    solve.add_argument("--noise", type=float, default=0.0)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--matrix-kind", choices=MATRIX_KINDS, default=None)
+    solve.add_argument("--noise", type=float)
+    solve.add_argument("--seed", type=int)
+    solve.add_argument("--matrix-kind", choices=MATRIX_KINDS)
     solve.add_argument("--solver", choices=SOLVERS, default=SOLVER_NESTA)
     solve.add_argument("--eps", type=float, default=None)
     solve.add_argument("--mu-final", type=float, default=None)
@@ -77,6 +77,8 @@ def _build_parser():
 
 
 def _spec_from_args(args):
+    """The spec of ``--spec``, or of the flags: a flag left out takes the
+    ProblemSpec default, except that rank defaults to min(k, L)."""
     if args.spec:
         return ProblemSpec.from_fields(read_keyvalue(args.spec))
     missing = [f for f in ("n", "N", "L", "k") if getattr(args, f) is None]
@@ -84,18 +86,10 @@ def _spec_from_args(args):
         raise InvalidArgumentError(
             f"either --spec or all of --n/--N/--L/--k are required (missing {missing})"
         )
+    flags = {"noise_sigma": args.noise, "matrix_kind": args.matrix_kind, "seed": args.seed}
+    given = {name: value for name, value in flags.items() if value is not None}
     rank = args.rank if args.rank is not None else min(args.k, args.L)
-    kind = args.matrix_kind if args.matrix_kind is not None else ProblemSpec.matrix_kind
-    return ProblemSpec(
-        n=args.n,
-        N=args.N,
-        L=args.L,
-        k=args.k,
-        rank=rank,
-        noise_sigma=args.noise,
-        matrix_kind=kind,
-        seed=args.seed,
-    )
+    return ProblemSpec(n=args.n, N=args.N, L=args.L, k=args.k, rank=rank, **given)
 
 
 def _cmd_solve(args):

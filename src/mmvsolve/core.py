@@ -69,7 +69,7 @@ def as_count(value, name, below=None, least=1):
         whole = False
     if not whole or value < least or (below is not None and value >= below):
         if below is None:
-            span = "a positive integer"
+            span = "a positive integer" if least == 1 else f"an integer of at least {least}"
         else:
             span = f"an integer in [{least}, {below - 1}]"
         raise InvalidArgumentError(f"{name} must be {span}, got {value!r}")
@@ -115,9 +115,7 @@ class SupportSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple([int(i) for i in self.indices])
-        if any(i < 0 for i in idx):
-            raise InvalidArgumentError("support indices must be nonnegative")
+        idx = tuple([as_count(i, "support index", least=0) for i in self.indices])
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise InvalidArgumentError(
                 "support indices must be strictly increasing (no duplicates)"
@@ -127,7 +125,7 @@ class SupportSet:
     @classmethod
     def from_indices(cls, indices):
         """Build a support from any iterable of indices (sorted, deduplicated)."""
-        return cls(tuple(sorted({int(i) for i in indices})))
+        return cls(tuple(sorted({as_count(i, "support index", least=0) for i in indices})))
 
     @classmethod
     def _of_sorted(cls, rows):
@@ -281,9 +279,12 @@ class MmvProblem:
         return self.Psi.T @ X
 
 
-def _row_l2(X):
-    """Row l2 norms of a validated matrix: the one formula of the package."""
-    return np.sqrt((X * X).sum(axis=1))
+def row_l2(X):
+    """l2 norms along the last axis of an unvalidated array: the row norms of
+    a matrix, or of every block of a P x N x L stack. The one row-norm
+    formula of the package, ``sqrt((X * X).sum(axis=-1))``; for real input
+    it gives the bits of ``np.linalg.norm(X, axis=-1)``."""
+    return np.sqrt((X * X).sum(axis=-1))
 
 
 def row_norms(X, q=2):
@@ -292,7 +293,7 @@ def row_norms(X, q=2):
     if q == 1:
         return np.abs(X).sum(axis=1)
     if q == 2:
-        return _row_l2(X)
+        return row_l2(X)
     if q == np.inf:
         return np.abs(X).max(axis=1)
     raise InvalidArgumentError(f"unsupported inner norm order {q!r}; use 1, 2 or inf")
@@ -349,7 +350,7 @@ def hard_threshold_rows(X, k):
     N = X.shape[0]
     if k >= N:
         return X.copy(), SupportSet(tuple(range(N)))
-    keep = top_k(_row_l2(X), k)
+    keep = top_k(row_l2(X), k)
     out = np.zeros(X.shape)
     out[keep] = X[keep]
     return out, SupportSet._of_sorted(keep)
@@ -385,8 +386,10 @@ def rank_above(sv, tol):
     return int((sv > tol * sv[0]).sum())
 
 
-def _numerical_rank(M, rank_tol):
-    return rank_above(np.linalg.svd(M, compute_uv=False), rank_tol)
+def numerical_rank(M, tol):
+    """Number of singular values of M above tol times the largest: the
+    :func:`rank_above` rule on one SVD of M, with no validation."""
+    return rank_above(np.linalg.svd(M, compute_uv=False), tol)
 
 
 def spark(A, rank_tol=1e-10):
@@ -406,12 +409,12 @@ def spark(A, rank_tol=1e-10):
             f"spark is brute-force only; refusing N = {N} > {SPARK_MAX_COLUMNS} columns"
         )
     rank_tol = as_real(rank_tol, "rank_tol", zero_ok=True, below=1)
-    r = _numerical_rank(M, rank_tol)
+    r = numerical_rank(M, rank_tol)
     if r == N:
         return N + 1
     for s in range(1, r + 1):
         for cols in itertools.combinations(range(N), s):
-            if _numerical_rank(M[:, cols], rank_tol) < s:
+            if numerical_rank(M[:, cols], rank_tol) < s:
                 return s
     # every subset of size <= r is independent, so any r+1 columns are not
     return r + 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, as_count, as_real, hard_threshold_rows, lstsq_rows
+from .core import InvalidArgumentError, as_count, as_real, hard_threshold_rows, lstsq_rows, row_l2
 from .music import music_support
 from .nesta import RecoveryReport
 
@@ -123,9 +123,13 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
     so that no product overflows or underflows. When the uniform vector
     lies in G's null space (every column of a wide M sums to zero, say),
     the recurrence restarts from the largest-norm column of M (row, if M
-    is tall), which G never maps to 0.
+    is tall), which G never maps to 0. An empty M, or one with a nan or
+    infinite entry (which always puts |M^T v| out of that range), raises
+    InvalidArgumentError.
     """
     M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        raise InvalidArgumentError(f"matrix must be nonempty, got shape {M.shape}")
     if M.shape[0] > M.shape[1]:
         M = M.T
     # G x = M (M^T x); x @ M forms M^T x without numpy's slower M.T @ x path
@@ -136,6 +140,8 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
     if not 1e-50 < np.abs(u).max() < 1e50:
         # G's entries are of the order of ||M||^2: bring M into range first
         peak = float(np.abs(M).max())
+        if not math.isfinite(peak):
+            raise InvalidArgumentError("matrix contains NaN or infinite entries")
         if peak == 0.0:
             return 0.0
         M = M / peak
@@ -241,7 +247,7 @@ class _SupportFit:
     def __init__(self, phi, B, rows):
         self.rows = rows
         self.fit, self.rank, self.norm = lstsq_rows(phi, B, rows)
-        self.kept = np.linalg.norm(self.fit[rows], axis=1)
+        self.kept = row_l2(self.fit[rows])
         self.resid = self.grad = self.grad_norm = self.cross_norm = None
 
 
@@ -249,7 +255,7 @@ def _off_norms(X, rows):
     """Row norms of X, zero on ``rows``: inf where they overflow, which
     fails the certificate's test."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
+        norms = row_l2(X)
     norms[rows] = 0.0
     return norms
 

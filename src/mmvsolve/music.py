@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SupportSet, as_count, as_matrix, as_real, rank_above, top_k
+from .core import SupportSet, as_count, as_matrix, as_real, numerical_rank, rank_above, top_k
 
 # Default relative singular-value threshold of the rank estimate.
 MUSIC_DELTA = 1e-8
@@ -39,7 +39,7 @@ class MusicResult:
 def estimate_rank(B, delta):
     """Number of singular values of B above delta times the largest."""
     B = as_matrix(B, "measurement block")
-    return rank_above(np.linalg.svd(B, compute_uv=False), as_real(delta, "delta", below=1))
+    return numerical_rank(B, as_real(delta, "delta", below=1))
 
 
 def _subspace_scores(phi, Us):

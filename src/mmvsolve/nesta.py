@@ -395,9 +395,6 @@ class _Operators:
         self.order = order
         # the position in ``stack`` of each slot's operator
         self.index = [j for size in layers for j in range(size)]
-        # one stacked product serves every slot: one slot per operator, or
-        # one operator broadcast over every slot
-        self.flat = len(stack) == 1 or len(layers) == 1
 
     @classmethod
     def of(cls, phis):
@@ -413,26 +410,15 @@ class _Operators:
         stack = distinct[0][None] if len(distinct) == 1 else np.stack(distinct)
         return cls(stack, layers, order)
 
-    def apply(self, X):
-        """phi @ X for every slot of X (P x N x L)."""
-        if self.flat:
-            return np.matmul(self.stack, X)
-        return self._layered(X, left=False)
+    def apply(self, X, left=False):
+        """phi @ X for every slot of X (P x N x L), or with ``left`` X @ phi
+        for every slot of X (P x m x n): the transpose of phi^T X^T, taken
+        this way so that phi^T is never formed.
 
-    def apply_left(self, Y):
-        """Y @ phi for every slot of Y (P x m x n): the transpose of phi^T Y^T,
-        taken this way so that phi^T is never formed."""
-        if self.flat:
-            return np.matmul(Y, self.stack)
-        return self._layered(Y, left=True)
-
-    def apply_slot(self, j, x):
-        """phi @ x for slot j alone, as a stack of one: the product
-        :meth:`apply` makes for a batch of that one slot."""
-        i = self.index[j]
-        return np.matmul(self.stack[i : i + 1], x[None])[0]
-
-    def _layered(self, X, left):
+        Each layer is one stacked product with a prefix of the stack, written
+        into one output array, so a batch of one layer (one slot per
+        operator, as in every lone solve) makes exactly one ``np.matmul`` call.
+        """
         shape = list(X.shape)
         shape[2 if left else 1] = self.stack.shape[2 if left else 1]
         out = np.empty(shape)
@@ -446,6 +432,12 @@ class _Operators:
                 np.matmul(ops, X[start:end], out=out[start:end])
             start = end
         return out
+
+    def apply_slot(self, j, x):
+        """phi @ x for slot j alone, as a stack of one: the product
+        :meth:`apply` makes for a batch of that one slot."""
+        i = self.index[j]
+        return np.matmul(self.stack[i : i + 1], x[None])[0]
 
 
 class _Batch:
@@ -523,7 +515,7 @@ class _Batch:
                     image -= corr[1]
                     moved = True
         if moved:
-            back = self.operators.apply_left(V.reshape(P, n, 2 * L).transpose(0, 2, 1))
+            back = self.operators.apply(V.reshape(P, n, 2 * L).transpose(0, 2, 1), left=True)
             for i, point in enumerate(points):
                 point -= back[:, i * L : (i + 1) * L].transpose(0, 2, 1)
 

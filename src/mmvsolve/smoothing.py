@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix, as_real
+from .core import InvalidArgumentError, SupportSet, as_matrix, as_real, row_l2
 
 AGGREGATOR_ROW_L2 = "row_l2"
 AGGREGATOR_ENTRY_L1 = "entry_l1"
@@ -64,10 +64,6 @@ def _huber(t, mu):
     return np.where(t >= mu, t - 0.5 * mu, (0.5 / mu) * t * t)
 
 
-def _row_l2(alpha):
-    return np.sqrt((alpha * alpha).sum(axis=-1, keepdims=True))
-
-
 def trusted_rows(support, n_rows):
     """Boolean mask of the trusted rows, or None when no row is trusted.
 
@@ -82,7 +78,7 @@ def huber_objective(alpha, mu, aggregator, trusted):
     """Kernel of :func:`smoothed_objective` over a stack: the objective of
     each block of ``alpha`` (P x N x L) at its mu, as a length-P array. No
     validation; ``trusted`` from :func:`trusted_rows`."""
-    t = _row_l2(alpha) if aggregator == AGGREGATOR_ROW_L2 else np.abs(alpha)
+    t = row_l2(alpha)[..., None] if aggregator == AGGREGATOR_ROW_L2 else np.abs(alpha)
     values = _huber(t, mu)
     if trusted is not None:
         # compress keeps the rows C-contiguous, so that each block is summed
@@ -95,7 +91,7 @@ def huber_gradient(alpha, mu, aggregator, trusted):
     """Kernel of :func:`smoothed_gradient` over a stack: ``alpha`` is
     P x N x L. No validation; ``trusted`` from :func:`trusted_rows`."""
     if aggregator == AGGREGATOR_ROW_L2:
-        t = _row_l2(alpha)
+        t = row_l2(alpha)[..., None]
         grad = alpha / np.where(t >= mu, t, mu)
     else:
         grad = np.clip(alpha / mu, -1.0, 1.0)

@@ -22,7 +22,7 @@ from .core import (
     SupportSet,
     as_count,
     as_real,
-    rank_above,
+    numerical_rank,
     read_matrix,
     row_orthonormalize,
     write_matrix,
@@ -89,8 +89,8 @@ class Rng64:
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
 
     def below(self, bound):
-        """Uniform integer in [0, bound)."""
-        bound = as_count(bound, "bound")
+        """Uniform integer in [0, bound), for a bound in [1, 2^64]."""
+        bound = as_count(bound, "bound", below=(1 << 64) + 1)
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()
@@ -229,8 +229,7 @@ def _rank_checked_block(rng, k, rank, L):
         left = rng.normals(k, rank)
         right = rng.normals(rank, L)
         block = left @ right
-        numerical_rank = rank_above(np.linalg.svd(block, compute_uv=False), 1e-10)
-        if numerical_rank == rank and (block != 0).any(axis=1).all():
+        if numerical_rank(block, 1e-10) == rank and (block != 0).any(axis=1).all():
             return block
 
 

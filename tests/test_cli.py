@@ -9,6 +9,7 @@ import pytest
 
 import mmvsolve
 from mmvsolve import ProblemSpec, gen_instance, write_matrix
+from mmvsolve import cli
 from mmvsolve.cli import main
 
 
@@ -104,6 +105,35 @@ def test_solve_output_is_pinned(tmp_path, capsys):
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
             else:
                 assert got[key] == value, key
+
+
+def spec_of_flags(flags, monkeypatch, capsys):
+    """The ProblemSpec ``mmvsolve solve`` generates its instance from."""
+    specs = []
+
+    def recording(spec):
+        specs.append(spec)
+        return gen_instance(spec)
+
+    monkeypatch.setattr(cli, "gen_instance", recording)
+    assert main(["solve", *flags]) == 0
+    capsys.readouterr()
+    (spec,) = specs
+    return spec
+
+
+@pytest.mark.parametrize("k, L", [(2, 3), (4, 3)])
+def test_solve_flags_left_out_take_the_spec_defaults_and_rank_min_k_l(k, L, monkeypatch, capsys):
+    flags = ["--n", "10", "--N", "20", "--L", str(L), "--k", str(k)]
+    assert spec_of_flags(flags, monkeypatch, capsys) == ProblemSpec(10, 20, L, k, rank=min(k, L))
+
+
+def test_solve_flags_given_all_reach_the_spec(monkeypatch, capsys):
+    flags = ["--n", "10", "--N", "20", "--L", "3", "--k", "4", "--rank", "2", "--noise", "0.01",
+             "--seed", "7", "--matrix-kind", "gaussian"]
+    assert spec_of_flags(flags, monkeypatch, capsys) == ProblemSpec(
+        10, 20, 3, 4, rank=2, noise_sigma=0.01, matrix_kind="gaussian", seed=7
+    )
 
 
 def test_solve_missing_dimensions_exits_2(capsys):

@@ -9,6 +9,7 @@ from mmvsolve import (
     MeasurementMatrix,
     MmvProblem,
     SizeLimitError,
+    SmoothingConfig,
     SupportSet,
     hard_threshold_rows,
     mixed_norm,
@@ -20,7 +21,15 @@ from mmvsolve import (
     write_matrix,
 )
 from mmvsolve import core
-from mmvsolve.core import ROW_ORTHO_TOL, as_count, as_real, gram_deviation, rank_above, top_k
+from mmvsolve.core import (
+    ROW_ORTHO_TOL,
+    as_count,
+    as_real,
+    gram_deviation,
+    rank_above,
+    row_l2,
+    top_k,
+)
 
 
 def test_row_norms_examples():
@@ -32,6 +41,16 @@ def test_row_norms_examples():
 def test_row_norms_rejects_bad_order():
     with pytest.raises(InvalidArgumentError):
         row_norms([[1.0, 2.0]], 3)
+
+
+def test_row_l2_of_a_stack_is_row_norms_of_each_block_bit_for_bit():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 9, 3)) * np.array([1e-3, 1.0, 1e150])
+    norms = row_l2(stack)
+    assert norms.shape == (4, 9)
+    for block, block_norms in zip(stack, norms):
+        assert np.array_equal(block_norms, row_norms(block, 2))
+        assert np.array_equal(block_norms, np.linalg.norm(block, axis=1))
 
 
 def test_mixed_norm_examples():
@@ -240,6 +259,32 @@ def test_support_set_validation():
     assert np.array_equal(s.mask(5), [True, False, True, False, True])
     with pytest.raises(InvalidArgumentError):
         s.mask(4)
+
+
+SUPPORT_BUILDERS = {
+    "SupportSet": SupportSet,
+    "from_indices": SupportSet.from_indices,
+    "known_support": lambda indices: SmoothingConfig(known_support=list(indices)),
+}
+
+
+@pytest.mark.parametrize("build", SUPPORT_BUILDERS.values(), ids=SUPPORT_BUILDERS.keys())
+@pytest.mark.parametrize(
+    "indices", [(1.5, 3), (0.5, 3.9), (float("nan"),), (1, float("inf")), (-1, 2), ("2",), (None,)]
+)
+def test_support_rejects_an_index_that_is_no_nonnegative_integer(build, indices):
+    # truncating 0.5 and 3.9 would trust rows 0 and 3
+    with pytest.raises(InvalidArgumentError, match="support index"):
+        build(indices)
+
+
+@pytest.mark.parametrize("build", SUPPORT_BUILDERS.values(), ids=SUPPORT_BUILDERS.keys())
+def test_support_takes_integral_floats_and_numpy_integers_as_ints(build):
+    support = build((np.int64(0), 2.0, 5))
+    if isinstance(support, SmoothingConfig):
+        support = support.known_support
+    assert support.indices == (0, 2, 5)
+    assert all(type(i) is int for i in support.indices)
 
 
 def test_spark_examples():

@@ -316,6 +316,21 @@ def test_fixed_step_thresholds_once_per_iteration(monkeypatch):
     assert len(calls) == report.inner_iterations
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_spectral_norm_rejects_an_empty_matrix(shape):
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        spectral_norm(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+def test_spectral_norm_rejects_a_non_finite_entry(bad, shape):
+    M = np.random.default_rng(2).standard_normal(shape)
+    M[1, 2] = bad
+    with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+        spectral_norm(M)
+
+
 def test_spectral_norm_restarts_off_a_null_space_start():
     # every row sums to zero, so the uniform start vector is in the null space
     phi = np.array(

@@ -784,3 +784,35 @@ def test_batch_rejects_problems_of_different_shapes():
     b = gen_instance(ProblemSpec(n=8, N=16, L=3, k=2, rank=2, seed=0)).problem
     with pytest.raises(InvalidArgumentError):
         nesta_solve_batch([a, b])
+
+
+@pytest.mark.parametrize(
+    "owners, layers",
+    [
+        ([0, 1, 2], [3]),  # one slot per operator: every nesta batch and lone solve
+        ([0, 0, 0], [1, 1, 1]),  # one operator for every slot: a lone smv solve
+        ([0, 1, 0, 0, 2], [3, 1, 1]),  # the column slots of smv trials of each L
+    ],
+)
+@pytest.mark.parametrize("left", [False, True])
+def test_operator_products_take_one_matmul_per_layer(owners, layers, left, monkeypatch):
+    rng = np.random.default_rng(3)
+    phis = [rng.standard_normal((4, 6)) for _ in range(3)]
+    slots = [phis[i] for i in owners]
+    ops = nesta._Operators.of(slots)
+    assert ops.layers == layers
+    P = len(slots)
+    X = rng.standard_normal((P, 4, 2)).transpose(0, 2, 1) if left else rng.standard_normal((P, 6, 2))
+    matmul, calls = np.matmul, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    got = ops.apply(X, left=left)
+    assert len(calls) == len(layers)
+    for j, i in enumerate(ops.order):
+        phi, x = slots[i][None], X[j : j + 1]
+        assert np.array_equal(got[j], (matmul(x, phi) if left else matmul(phi, x))[0])
+

@@ -81,6 +81,17 @@ def test_rng_rejects_the_seeds_a_spec_rejects(seed):
         ProblemSpec(n=4, N=8, L=2, k=3, rank=2, seed=seed)
 
 
+@pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 0, 2.5, float("inf")])
+def test_rng_below_rejects_a_bound_outside_1_to_2_to_the_64(bound):
+    # past 2^64 the rejection limit would be 0 and no draw would be accepted
+    with pytest.raises(InvalidArgumentError, match="bound"):
+        Rng64(0).below(bound)
+
+
+def test_rng_below_takes_the_full_64_bit_range():
+    assert Rng64(0).below(2**64) == Rng64(0).next_u64()
+
+
 def test_rng_normals_moments():
     r = Rng64(99)
     xs = r.normals(200, 50).ravel()
