@@ -43,14 +43,21 @@ class InfeasibleProblemError(RuntimeError):
 SOLVER_ERRORS = (InvalidArgumentError, DegenerateInputError, InfeasibleProblemError)
 
 
-def as_matrix(X, name="matrix"):
-    """Validate and return a finite, nonempty 2-D float array."""
-    X = np.asarray(X, dtype=float)
+def as_matrix(X, name="matrix", finite=True):
+    """Validate and return a nonempty 2-D float array, finite unless
+    ``finite`` is False (for a caller that meets nan and inf on its own).
+    Input that is no array of numbers raises InvalidArgumentError."""
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"{name} must be a numeric array, got {type(X).__name__}"
+        ) from None
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise InvalidArgumentError(
             f"{name} must be a nonempty 2-D array, got shape {X.shape}"
         )
-    if not np.isfinite(X).all():
+    if finite and not np.isfinite(X).all():
         raise InvalidArgumentError(f"{name} contains NaN or infinite entries")
     return X
 
@@ -108,6 +115,18 @@ def gram_deviation(M, c=None):
     return float(np.abs(gram).max()), c
 
 
+def _support_indices(indices):
+    """The indices of a support as ints, each by the count rule; a value
+    that is not iterable (a bare 5) raises InvalidArgumentError."""
+    try:
+        items = iter(indices)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"support indices must be an iterable of integers, got {indices!r}"
+        ) from None
+    return [as_count(i, "support index", least=0) for i in items]
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Strictly increasing row indices marking a known or detected support."""
@@ -115,7 +134,7 @@ class SupportSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple([as_count(i, "support index", least=0) for i in self.indices])
+        idx = tuple(_support_indices(self.indices))
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise InvalidArgumentError(
                 "support indices must be strictly increasing (no duplicates)"
@@ -125,7 +144,7 @@ class SupportSet:
     @classmethod
     def from_indices(cls, indices):
         """Build a support from any iterable of indices (sorted, deduplicated)."""
-        return cls(tuple(sorted({as_count(i, "support index", least=0) for i in indices})))
+        return cls(tuple(sorted(set(_support_indices(indices)))))
 
     @classmethod
     def _of_sorted(cls, rows):
@@ -283,8 +302,30 @@ def row_l2(X):
     """l2 norms along the last axis of an unvalidated array: the row norms of
     a matrix, or of every block of a P x N x L stack. The one row-norm
     formula of the package, ``sqrt((X * X).sum(axis=-1))``; for real input
-    it gives the bits of ``np.linalg.norm(X, axis=-1)``."""
-    return np.sqrt((X * X).sum(axis=-1))
+    it gives the bits of ``np.linalg.norm(X, axis=-1)``.
+
+    A C-contiguous float64 array of at least 128 rows with at most 8
+    columns takes a faster path with the same bits: numpy sums fewer than 8
+    terms in order and 8 terms as the pairwise tree
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and column adds here write out
+    that order. On fewer rows the extra calls cost more than they save,
+    and at 16 columns numpy's reduction is the faster one."""
+    width = X.shape[-1]
+    fast = 0 < width <= 8 and X.size >= 128 * width
+    if not (fast and X.dtype == np.float64 and X.flags.c_contiguous):
+        return np.sqrt((X * X).sum(axis=-1))
+    S = X * X
+    if width == 8:
+        pairs = S[..., 0::2] + S[..., 1::2]
+        quads = pairs[..., 0::2] + pairs[..., 1::2]
+        total = quads[..., 0] + quads[..., 1]
+    elif width == 1:
+        total = S[..., 0]
+    else:
+        total = S[..., 0] + S[..., 1]
+        for j in range(2, width):
+            total += S[..., j]
+    return np.sqrt(total)
 
 
 def row_norms(X, q=2):

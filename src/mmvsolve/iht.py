@@ -44,7 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, as_count, as_real, hard_threshold_rows, lstsq_rows, row_l2
+from .core import (
+    InvalidArgumentError,
+    as_count,
+    as_matrix,
+    as_real,
+    hard_threshold_rows,
+    lstsq_rows,
+    row_l2,
+)
 from .music import music_support
 from .nesta import RecoveryReport
 
@@ -123,13 +131,11 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
     so that no product overflows or underflows. When the uniform vector
     lies in G's null space (every column of a wide M sums to zero, say),
     the recurrence restarts from the largest-norm column of M (row, if M
-    is tall), which G never maps to 0. An empty M, or one with a nan or
-    infinite entry (which always puts |M^T v| out of that range), raises
-    InvalidArgumentError.
+    is tall), which G never maps to 0. An M that is no nonempty 2-D array
+    of numbers, or one with a nan or infinite entry (which always puts
+    |M^T v| out of that range), raises InvalidArgumentError.
     """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise InvalidArgumentError(f"matrix must be nonempty, got shape {M.shape}")
+    M = as_matrix(M, finite=False)
     if M.shape[0] > M.shape[1]:
         M = M.T
     # G x = M (M^T x); x @ M forms M^T x without numpy's slower M.T @ x path

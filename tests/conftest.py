@@ -19,3 +19,15 @@ def assert_same_report(got, want):
             assert a.shape == b.shape and np.array_equal(a, b), spec.name
         else:
             assert type(a) is type(b) and a == b, spec.name
+
+
+def csv_without_wall_time(text):
+    """The lines of a sweep CSV with the wall_time_s field of each result
+    row removed: what two runs of one sweep config must agree on."""
+    lines = []
+    for line in text.splitlines():
+        fields = line.split(",")
+        if len(fields) == 14 and not line.startswith("solver,"):
+            del fields[12]  # wall_time_s
+        lines.append(",".join(fields))
+    return lines

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import csv_without_wall_time
 
 import mmvsolve
 from mmvsolve import ProblemSpec, gen_instance, write_matrix
-from mmvsolve import cli
+from mmvsolve import cli, harness
 from mmvsolve.cli import main
 
 
@@ -328,6 +329,36 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("solver=nesta ")
+
+
+def test_module_sweep_writes_the_csv_of_an_in_process_serial_run(tmp_path, monkeypatch):
+    # a two-cell sweep of small operators: the child may run its cells in
+    # worker processes, and must exit 0 with the rows of a serial run
+    def config(output):
+        cfg = tmp_path / f"{output}.cfg"
+        cfg.write_text(
+            "n = 16\nN = 32\nL = 3\nk = 2\nrank = 2\nseed = 5\ntrials = 3\n"
+            f"solvers = nesta, smv, iht\ngrid.k = 2, 4\noutput = {tmp_path / output}\n"
+        )
+        return str(cfg)
+
+    source = str(Path(mmvsolve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmvsolve", "sweep", "--config", config("child.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "18 trial rows, 6 aggregate rows" in proc.stdout
+    monkeypatch.setattr(harness, "_cell_workers", lambda sweep, cells: 1)
+    assert main(["sweep", "--config", config("serial.csv")]) == 0
+    child = csv_without_wall_time((tmp_path / "child.csv").read_text())
+    serial = csv_without_wall_time((tmp_path / "serial.csv").read_text())
+    assert len(child) == 2 + 2 * 3 * (3 + 1)
+    assert child == serial
 
 
 @pytest.mark.parametrize("grid", ["grid.k = 2, 32", "grid.n = 32, 0"], ids=["k", "n"])

@@ -53,6 +53,23 @@ def test_row_l2_of_a_stack_is_row_norms_of_each_block_bit_for_bit():
         assert np.array_equal(block_norms, np.linalg.norm(block, axis=1))
 
 
+@pytest.mark.parametrize("width", [*range(1, 41), 64, 128, 129])
+def test_row_l2_is_numpys_row_sum_bit_for_bit(width):
+    # the fast path (<= 8 columns, >= 128 rows) must give the bits of
+    # numpy's own reduction: on matrices, stacks and F-ordered views, on
+    # few and many rows, at scales whose squares overflow or underflow
+    rng = np.random.default_rng(width)
+    matrix = rng.standard_normal((150, width)) * np.exp(rng.standard_normal((150, width)))
+    stack = rng.standard_normal((3, 50, width))
+    arrays = (matrix, matrix[:37], stack, np.asfortranarray(stack), stack.transpose(1, 0, 2))
+    for scale in (1.0, 1e150, 1e-150, 1e160, 1e-160):
+        for X in arrays:
+            with np.errstate(over="ignore", under="ignore"):
+                X = X * scale
+                reference = np.sqrt((X * X).sum(axis=-1))
+                assert np.array_equal(row_l2(X), reference, equal_nan=True), (scale, X.shape)
+
+
 def test_mixed_norm_examples():
     assert mixed_norm([[3, 4], [0, 0]], 1, 2) == pytest.approx(5)
     assert mixed_norm(np.eye(3), 1, 2) == pytest.approx(3)
@@ -285,6 +302,17 @@ def test_support_takes_integral_floats_and_numpy_integers_as_ints(build):
         support = support.known_support
     assert support.indices == (0, 2, 5)
     assert all(type(i) is int for i in support.indices)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [SupportSet, SupportSet.from_indices, lambda value: SmoothingConfig(known_support=value)],
+    ids=SUPPORT_BUILDERS.keys(),
+)
+@pytest.mark.parametrize("value", [5, 2.0, None])
+def test_support_rejects_a_value_that_is_no_iterable(build, value):
+    with pytest.raises(InvalidArgumentError, match="iterable of integers, got"):
+        build(value)
 
 
 def test_spark_examples():

@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
-from conftest import assert_same_report
+from conftest import assert_same_report, csv_without_wall_time
 
 from mmvsolve import (
     SOLVERS,
@@ -15,6 +19,7 @@ from mmvsolve import (
     run_trial,
     solve_smv_per_column,
 )
+from mmvsolve import harness
 from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER, _trial_row, solve_smv_batch
 
 
@@ -351,3 +356,107 @@ def test_small_sweep_is_pinned(tmp_path):
     assert digests == SWEEP_PIN_DIGESTS
     rel = [float(v) for v in columns["relative_error"]]
     assert rel == pytest.approx(SWEEP_PIN_RELATIVE_ERRORS, rel=1e-12, abs=0)
+
+
+def _spy_cell_map(monkeypatch):
+    """Record the worker count of every _cell_map that run_sweep opens."""
+    opened = []
+    cell_map = harness._cell_map
+
+    def spy(workers):
+        opened.append(workers)
+        return cell_map(workers)
+
+    monkeypatch.setattr(harness, "_cell_map", spy)
+    return opened
+
+
+def test_pooled_sweep_writes_the_bytes_of_an_in_process_one(tmp_path, monkeypatch):
+    opened = _spy_cell_map(monkeypatch)
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_cell_workers", lambda sweep, cells: workers)
+        cfg_path = tmp_path / f"sweep{workers}.cfg"
+        write_config(
+            cfg_path,
+            trials=2,
+            output=str(tmp_path / f"out{workers}.csv"),
+            **{"grid.k": "2, 3, 4", "solvers": "nesta, smv, iht, iterative-nesta"},
+        )
+        results, aggregates = run_sweep(parse_sweep_config(cfg_path))
+        assert len(results) == 3 * 4 * 2 and len(aggregates) == 3 * 4
+        texts.append((tmp_path / f"out{workers}.csv").read_text())
+    assert opened == [1, 2]
+    assert len(texts[1].splitlines()) == 2 + 3 * 4 * (2 + 1)
+    assert csv_without_wall_time(texts[1]) == csv_without_wall_time(texts[0])
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_sweep_whose_cell_raises(tmp_path, monkeypatch):
+    opened = _spy_cell_map(monkeypatch)
+    monkeypatch.setattr(harness, "_cell_workers", lambda sweep, cells: 2)
+    gen_instance = harness.gen_instance
+
+    def failing_gen_instance(spec):
+        if spec.k == 3:
+            raise RuntimeError(f"cell k={spec.k} failed")
+        return gen_instance(spec)
+
+    # the workers are forked after this, so they generate through it too
+    monkeypatch.setattr(harness, "gen_instance", failing_gen_instance)
+    cfg_path = tmp_path / "sweep.cfg"
+    write_config(cfg_path, **{"grid.k": "2, 3, 4"})
+    with pytest.raises(RuntimeError, match="cell k=3 failed"):
+        run_sweep(parse_sweep_config(cfg_path))
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
+    # the cell before the failing one was written in full
+    rows = (tmp_path / "out.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[4] for row in rows] == ["2", "2", "2"]
+
+
+def test_cell_workers_pool_only_small_multi_cell_sweeps_on_linux():
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+    def sweep(n, N, grid_k):
+        return SweepConfig(
+            base=ProblemSpec(n=n, N=N, L=4, k=2, rank=2),
+            solvers=("nesta",),
+            trials=1,
+            output="x.csv",
+            grid_k=grid_k,
+        )
+
+    small = sweep(16, 32, (2, 3, 4))
+    assert 16 * 32 <= harness.POOL_MAX_ENTRIES
+    assert harness._cell_workers(small, 1) == 1
+    if sys.platform == "linux":
+        assert harness._cell_workers(small, 3) == min(3, usable)
+        assert harness._cell_workers(small, 1000) == usable
+    else:
+        assert harness._cell_workers(small, 3) == 1
+    # one operator above the constant keeps the whole sweep in-process
+    large = sweep(128, 512, (2, 3, 4))
+    assert 128 * 512 > harness.POOL_MAX_ENTRIES
+    assert harness._cell_workers(large, 3) == 1
+    grid_n = SweepConfig(
+        base=ProblemSpec(n=16, N=512, L=4, k=2, rank=2),
+        solvers=("nesta",),
+        trials=1,
+        output="x.csv",
+        grid_n=(16, 128),
+    )
+    assert 16 * 512 <= harness.POOL_MAX_ENTRIES < 128 * 512
+    assert harness._cell_workers(grid_n, 2) == 1
+
+
+def test_sweep_above_the_size_constant_runs_in_process(tmp_path, monkeypatch):
+    opened = _spy_cell_map(monkeypatch)
+    cfg_path = tmp_path / "sweep.cfg"
+    write_config(cfg_path, **{"grid.k": "2, 3"})
+    monkeypatch.setattr(harness, "POOL_MAX_ENTRIES", 10 * 20 - 1)
+    run_sweep(parse_sweep_config(cfg_path))
+    monkeypatch.setattr(harness, "POOL_MAX_ENTRIES", 10 * 20)
+    run_sweep(parse_sweep_config(cfg_path))
+    assert opened == [1, harness._cell_workers(parse_sweep_config(cfg_path), 2)]
+    assert multiprocessing.active_children() == []

@@ -322,6 +322,14 @@ def test_spectral_norm_rejects_an_empty_matrix(shape):
         spectral_norm(np.zeros(shape))
 
 
+@pytest.mark.parametrize(
+    "M", [np.ones(3), 5.0, np.ones((2, 3, 4)), [[1.0, "a"]], [[1.0], [2.0, 3.0]], {"a": 1}]
+)
+def test_spectral_norm_rejects_what_is_no_2d_array_of_numbers(M):
+    with pytest.raises(InvalidArgumentError, match="matrix must be a"):
+        spectral_norm(M)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
 def test_spectral_norm_rejects_a_non_finite_entry(bad, shape):
