@@ -22,6 +22,7 @@ from .core import (
 )
 from .harness import (
     SOLVER_IHT,
+    SOLVER_ITERATIVE_NESTA,
     SOLVER_NESTA,
     SOLVER_SMV,
     SOLVERS,
@@ -33,6 +34,16 @@ from .harness import (
 from .music import MUSIC_DELTA, music_support
 from .nesta import NestaConfig
 from .synth import MATRIX_KINDS, ProblemSpec, gen_instance, read_keyvalue
+
+
+# The solver flags of ``solve`` and the solvers that read each one. A
+# solver ignores the others, so ``check_solver_flags`` rejects them.
+SOLVER_FLAGS = {
+    "--eps": (SOLVER_NESTA, SOLVER_ITERATIVE_NESTA, SOLVER_SMV),
+    "--mu-final": (SOLVER_NESTA, SOLVER_ITERATIVE_NESTA, SOLVER_SMV),
+    "--k-threshold": (SOLVER_ITERATIVE_NESTA, SOLVER_IHT),
+    "--use-music": (SOLVER_ITERATIVE_NESTA,),
+}
 
 
 def _build_parser():
@@ -92,15 +103,22 @@ def _spec_from_args(args):
     return ProblemSpec(n=args.n, N=args.N, L=args.L, k=args.k, rank=rank, **given)
 
 
+def check_solver_flags(args):
+    """Raise InvalidArgumentError for a given solver flag that the parsed
+    ``solve`` args' solver would ignore."""
+    for flag, solvers in SOLVER_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        # by identity: --eps 0 is a given flag, though 0 == False
+        if value is not None and value is not False and args.solver not in solvers:
+            raise InvalidArgumentError(
+                f"{flag} does not apply to --solver {args.solver} "
+                f"(only to {', '.join(solvers)})"
+            )
+
+
 def _cmd_solve(args):
     """Solve a loaded problem (no ground truth) or a generated one (scored)."""
-    if args.solver == SOLVER_IHT:
-        for flag, value in (("--eps", args.eps), ("--mu-final", args.mu_final)):
-            if value is not None:
-                raise InvalidArgumentError(
-                    f"{flag} does not apply to --solver iht, which has no noise ball "
-                    "and no smoothing"
-                )
+    check_solver_flags(args)
     instance = None
     if args.load_matrix or args.load_data:
         if not args.load_matrix:

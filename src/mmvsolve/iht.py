@@ -6,7 +6,7 @@ onto the set of matrices with at most k nonzero rows:
     alpha <- H_k(alpha + step * phi^T (B - phi alpha))
 
 where H_k keeps the k rows of largest l2 norm. With step * ||phi||_2^2 < 1
-the residual ||B - phi alpha||_F never increases. The default step is 0.98
+the residual ||B - phi alpha||_F never increases. The fixed step is 0.98
 of that stability threshold, with ||phi||_2 exact for a certified operator
 (phi phi^T = c I) and a Lanczos estimate (``spectral_norm``) otherwise;
 the optional adaptive mode uses the normalized rule (exact step on the
@@ -24,9 +24,9 @@ S forever, alpha* is the plain loop's limit, and the solve ends at the
 plain step from alpha*, which the proof lets take without a new product
 or threshold; otherwise it goes on exactly as before. Each support is
 fitted once, and a retry on unchanged rows reuses the fit and the bound's
-products. The start try of the default step needs only an upper bound on
-the step, from a few Lanczos steps: the full ``spectral_norm`` runs only
-when the start is not certified.
+products. The start try needs only an upper bound on the step, from a
+few Lanczos steps: the full ``spectral_norm`` runs only when the start is
+not certified.
 
 The iteration starts from the MUSIC support estimate with least-squares
 coefficients on it (subspace-augmented thresholding; Kim, Lee & Ye,
@@ -48,7 +48,6 @@ from .core import (
     InvalidArgumentError,
     as_count,
     as_matrix,
-    as_real,
     hard_threshold_rows,
     lstsq_rows,
     row_l2,
@@ -84,32 +83,24 @@ _INVARIANT = 1e-12
 
 @dataclass(frozen=True)
 class IhtConfig:
-    """Target row sparsity, step size, and iteration cap.
+    """Target row sparsity, iteration cap, and step rule.
 
-    ``step`` is the gradient step length (left None it becomes
-    0.98 / ||phi||_2^2, with ||phi||_2 = sqrt(c) exactly when phi phi^T = c I
-    is certified and the Lanczos estimate ``spectral_norm`` otherwise).
+    The step is not an option. The fixed step is 0.98 / ||phi||_2^2, with
+    ||phi||_2 = sqrt(c) exactly when phi phi^T = c I is certified and the
+    Lanczos estimate ``spectral_norm`` otherwise; ``adaptive_step`` swaps
+    it for the normalized rule, which chooses every step itself.
     Iteration stops once the relative iterate change
     ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below STOP_TOL, or at
     ``max_iters``. A fixed-step iteration also stops at an accepted
-    certified least-squares finish (see ``iht_solve``). ``adaptive_step``
-    chooses each step itself, so it takes no ``step``.
+    certified least-squares finish (see ``iht_solve``).
     """
 
     k: int
-    step: float | None = None
     max_iters: int = 2000
     adaptive_step: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_count(self.k, "k"))
-        if self.step is not None:
-            as_real(self.step, "step")
-        if self.step is not None and self.adaptive_step:
-            raise InvalidArgumentError(
-                "step and adaptive_step=True exclude each other: the adaptive rule "
-                "chooses every step itself"
-            )
         object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
 
 
@@ -217,23 +208,15 @@ def _operator_norm(problem):
     return math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(problem.phi)
 
 
-def _fixed_step(problem, cfg):
-    """The fixed step: ``cfg.step``, or 0.98 / ||phi||_2^2 by default,
-    after checking ||phi||_2 and the stability condition."""
+def _fixed_step(problem):
+    """The fixed step 0.98 / ||phi||_2^2, once ||phi||_2^2 is checked to be
+    positive and finite."""
     op_norm = _operator_norm(problem)
     if not 0.0 < op_norm * op_norm < math.inf:
         raise InvalidArgumentError(
             f"||phi||_2 = {op_norm:g} is out of range: its square bounds the step"
         )
-    step = 0.98 / op_norm**2 if cfg.step is None else cfg.step
-    # the boundary step * ||phi||^2 = 1 still majorizes the residual,
-    # and orthonormal-column operators use it, so only reject beyond it
-    if step * op_norm**2 > 1.0 + 1e-9:
-        raise InvalidArgumentError(
-            f"step {step:g} violates the stability condition "
-            f"step * ||phi||_2^2 <= 1 (||phi||_2 = {op_norm:g})"
-        )
-    return step
+    return 0.98 / op_norm**2
 
 
 class _SupportFit:
@@ -264,18 +247,6 @@ def _off_norms(X, rows):
         norms = row_l2(X)
     norms[rows] = 0.0
     return norms
-
-
-def _music_start(problem, k):
-    """The MUSIC support and the least-squares fit on it, or None.
-
-    None where MUSIC carries no information: an estimated signal rank of 0
-    (zero data) or of n (every column then lies in the signal subspace).
-    """
-    music = music_support(problem, k)
-    if not 0 < music.rank < problem.n:
-        return None
-    return music.support, _SupportFit(problem.phi, problem.B, music.support.as_array())
 
 
 def _certified_fit(phi, B, alpha, fitted, step):
@@ -343,9 +314,10 @@ def iht_solve(problem, cfg):
     0 or n, MUSIC cannot tell columns apart and the start is one gradient
     step from the origin, thresholded: H_k(step * phi^T B). Either start is
     k-row sparse. MUSIC scores are normalized, so the start support is
-    exactly invariant under (phi, B) -> (c phi, c B), and the iterates are
-    invariant under (phi, B, step) -> (c phi, c B, step / c^2) up to
-    round-off in the least-squares fit.
+    exactly invariant under (phi, B) -> (c phi, c B). The fixed step scales
+    as 1 / c^2 with ||phi||_2^2, so the fixed-step iterates are invariant
+    under (phi, B) -> (c phi, c B) up to round-off in the least-squares fit
+    and in ||phi||_2.
 
     Iteration stops once the relative iterate change falls below STOP_TOL,
     or at ``cfg.max_iters``. With a fixed step, the iteration tries the
@@ -361,14 +333,14 @@ def iht_solve(problem, cfg):
     the start's fit included: a retry on unchanged rows reuses them. The
     adaptive rule never tries the finish.
 
-    The start try of the default step on an uncertified operator needs no
-    ||phi||_2. It is made at the step bound 0.98 / rho, with rho the top
-    Ritz value of _BOUND_STEPS Lanczos steps (``spectral_norm`` with tol
-    0, squared). A Ritz value never exceeds ||phi||_2^2, so the bound is
-    at least the default step, and a proof at the bound holds at that step;
-    the finish then steps at the bound. Only when the start is not
-    certified (or rho is 0 or not finite) does the full ``spectral_norm``
-    run, and the iteration goes on at its usual step.
+    The start try on an uncertified operator needs no ||phi||_2. It is
+    made at the step bound 0.98 / rho, with rho the top Ritz value of
+    _BOUND_STEPS Lanczos steps (``spectral_norm`` with tol 0, squared). A
+    Ritz value never exceeds ||phi||_2^2, so the bound is at least the
+    fixed step, and a proof at the bound holds at that step; the finish
+    then steps at the bound. Only when the start is not certified (or rho
+    is 0 or not finite) does the full ``spectral_norm`` run, and the
+    iteration goes on at its usual step.
 
     The report's objective trace holds the data residual ||B - phi alpha||_F
     at the start, after each iteration and, when a try is accepted, at the
@@ -390,27 +362,30 @@ def iht_solve(problem, cfg):
     as_count(cfg.k, "k", below=problem.N)
     if not np.any(phi):
         raise InvalidArgumentError("measurement operator is zero")
-    # the default step of an uncertified operator waits: the start try needs
+    # the fixed step of an uncertified operator waits: the start try needs
     # only the bound try_step, and a certified start needs no step at all
     step = try_step = None  # both stay None for the adaptive rule
     if not cfg.adaptive_step:
-        if cfg.step is None and not problem.A.row_orthonormal:
+        if not problem.A.row_orthonormal:
             rho = spectral_norm(phi, _BOUND_STEPS, 0.0) ** 2
             if 0.0 < rho < math.inf:
                 try_step = 0.98 / rho
         if try_step is None:
-            step = try_step = _fixed_step(problem, cfg)
+            step = try_step = _fixed_step(problem)
 
-    start = _music_start(problem, cfg.k)
+    music = music_support(problem, cfg.k)
     fitted = None
-    if start is None:
+    if 0 < music.rank < problem.n:
+        support = music.support
+        fitted = _SupportFit(phi, B, support.as_array())
+        alpha = fitted.fit
+    else:
+        # MUSIC tells no columns apart at a signal rank of 0 (zero data) or
+        # of n (every column lies in the signal subspace)
         if step is None and not cfg.adaptive_step:
-            step = _fixed_step(problem, cfg)
+            step = _fixed_step(problem)
         init_step = 1.0 / _operator_norm(problem) ** 2 if cfg.adaptive_step else step
         alpha, support = hard_threshold_rows(init_step * (phi.T @ B), cfg.k)
-    else:
-        support, fitted = start
-        alpha = fitted.fit
     rows = support.as_array()
     resid = B - phi @ alpha
     trace = [float(np.linalg.norm(resid))]
@@ -420,7 +395,7 @@ def iht_solve(problem, cfg):
         fitted.resid = resid
         finish = _certified_fit(phi, B, alpha, fitted, try_step)
     if finish is None and step is None and not cfg.adaptive_step:
-        step = _fixed_step(problem, cfg)
+        step = _fixed_step(problem)
 
     iterations = 0
     converged = False

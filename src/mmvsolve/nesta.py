@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -879,7 +879,7 @@ def nesta_solve(problem, smoothing=None, cfg=None):
     return report
 
 
-def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
+def iterative_nesta(problem, k, cfg=None, use_music=False):
     """Alternate full solves with hard-threshold support refinement.
 
     Each pass solves with the current trusted support and keeps the k
@@ -890,7 +890,6 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     """
     k = as_count(k, "k", below=problem.N)
     t0 = time.perf_counter()
-    base = SmoothingConfig() if smoothing is None else smoothing
 
     support = SupportSet()
     if use_music:
@@ -903,8 +902,7 @@ def iterative_nesta(problem, k, smoothing=None, cfg=None, use_music=False):
     stabilized = False
     report = None
     while outer < MAX_OUTER:
-        stage = replace(base, known_support=support)
-        report = nesta_solve(problem, stage, cfg)
+        report = nesta_solve(problem, SmoothingConfig(known_support=support), cfg)
         outer += 1
         total_inner += report.inner_iterations
         restarts += report.restarts

@@ -188,18 +188,47 @@ def test_solve_smv_eps_is_the_problem_radius(args, eps, capsys):
     assert residual <= eps * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("flag,value", [("--eps", "0.05"), ("--mu-final", "1e-3")])
-def test_solve_iht_rejects_noise_ball_and_smoothing_flags(flag, value, tmp_path, capsys):
-    # IHT has neither, so the flag would be ignored without a word
+@pytest.mark.parametrize(
+    "solver,flags",
+    [
+        pytest.param("iht", ["--eps", "0.05"], id="--eps-0.05"),
+        pytest.param("iht", ["--mu-final", "1e-3"], id="--mu-final-1e-3"),
+        pytest.param("iht", ["--use-music"], id="iht--use-music"),
+        pytest.param("nesta", ["--use-music"], id="nesta--use-music"),
+        pytest.param("smv", ["--use-music"], id="smv--use-music"),
+        pytest.param("nesta", ["--k-threshold", "3"], id="nesta--k-threshold-3"),
+        pytest.param("smv", ["--k-threshold", "3"], id="smv--k-threshold-3"),
+    ],
+)
+def test_solve_iht_rejects_noise_ball_and_smoothing_flags(solver, flags, tmp_path, capsys):
+    # the solver never reads the flag, so it would be ignored without a word
     spec_file = tmp_path / "case.txt"
     spec_file.write_text(
         "n = 12\nN = 24\nL = 2\nk = 3\nrank = 2\nnoise_sigma = 0.01\n"
         "matrix_kind = gaussian\nseed = 21\n"
     )
-    assert main(["solve", "--spec", str(spec_file), "--solver", "iht", flag, value]) == 2
+    assert main(["solve", "--spec", str(spec_file), "--solver", solver, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and flag in captured.err
+    assert captured.err.startswith(f"error: {flags[0]} does not apply to --solver {solver}")
+
+
+def readme_commands():
+    """Every ``mmvsolve ...`` line of README's shell blocks, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [line.split()[1:] for line in lines if line.startswith("mmvsolve ")]
+
+
+def test_readme_commands_parse_and_pass_the_solver_flag_rule():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)  # exits on an unknown flag or value
+        if args.command == "solve":
+            cli.check_solver_flags(args)
 
 
 def test_solve_loaded_matrices(tmp_path, capsys):

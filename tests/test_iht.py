@@ -43,14 +43,6 @@ def test_spectral_norm_against_svd():
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         IhtConfig(k=0)
-    with pytest.raises(InvalidArgumentError):
-        IhtConfig(k=2, step=-1.0)
-
-
-@pytest.mark.parametrize("step", [float("nan"), float("inf")])
-def test_config_rejects_non_finite_step(step):
-    with pytest.raises(InvalidArgumentError, match=f"step .*got {step!r}"):
-        IhtConfig(k=2, step=step)
 
 
 @pytest.mark.parametrize("value", [2.5, 0, -3, float("nan"), float("inf"), "5", None])
@@ -66,13 +58,6 @@ def test_integral_float_caps_solve_as_their_ints():
     assert_same_report(iht_solve(problem, cfg), iht_solve(problem, IhtConfig(k=2, max_iters=3)))
 
 
-def test_rejects_unstable_step():
-    inst = gen_instance(ProblemSpec(n=6, N=12, L=2, k=2, rank=2, seed=0))
-    # row-orthonormal operator has unit spectral norm; step 2 is unstable
-    with pytest.raises(InvalidArgumentError):
-        iht_solve(inst.problem, IhtConfig(k=2, step=2.0))
-
-
 def test_orthonormal_columns_recover_in_one_iteration():
     rng = np.random.default_rng(21)
     raw = rng.standard_normal((12, 5))
@@ -82,7 +67,7 @@ def test_orthonormal_columns_recover_in_one_iteration():
     with pytest.warns(UserWarning):  # operator is overdetermined
         A = MeasurementMatrix.from_entries(Q)
     problem = MmvProblem(A=A, B=Q @ X, epsilon=0.0)
-    report = iht_solve(problem, IhtConfig(k=2, step=1.0))
+    report = iht_solve(problem, IhtConfig(k=2))
     assert report.inner_iterations == 0  # the MUSIC start is certified
     assert report.restarts == 0  # no momentum to restart
     assert np.allclose(report.estimate, X, atol=1e-12)
@@ -121,24 +106,27 @@ def test_output_is_k_row_sparse_and_fixed_point():
     assert np.allclose(again, alpha, atol=1e-7 * max(1.0, np.linalg.norm(alpha)))
 
 
+SCALE_SPECS = [
+    ProblemSpec(n=128, N=512, L=8, k=20, rank=8, noise_sigma=1e-3, seed=s) for s in range(4)
+] + [ProblemSpec(n=24, N=64, L=3, k=6, rank=2, noise_sigma=1e-3, seed=s) for s in range(4)]
+
+
 def test_scale_consistency_identity():
-    inst = gen_instance(
-        ProblemSpec(n=8, N=16, L=2, k=2, rank=2, matrix_kind="gaussian", seed=12)
-    )
-    phi = inst.problem.A.entries
-    B = inst.problem.B
-    base_step = 0.5 / spectral_norm(phi) ** 2
-    base = iht_solve(inst.problem, IhtConfig(k=2, step=base_step, max_iters=200))
-    for c in (2.0, 3.0):
-        scaled_problem = MmvProblem(
-            A=MeasurementMatrix.from_entries(c * phi), B=c * B, epsilon=0.0
-        )
-        scaled = iht_solve(
-            scaled_problem, IhtConfig(k=2, step=base_step / c**2, max_iters=200)
-        )
-        assert scaled.inner_iterations == base.inner_iterations
-        assert np.abs(scaled.estimate - base.estimate).max() <= 1e-12
-        assert scaled.detected_support == base.detected_support
+    # the fixed step scales with 1 / ||phi||_2^2, so the scaled problem
+    # (c phi, c B) takes the same iterates up to round-off
+    for kind, spec in itertools.product(["row-orthonormal-gaussian", "gaussian"], SCALE_SPECS):
+        problem = gen_instance(replace(spec, matrix_kind=kind)).problem
+        base = iht_solve(problem, IhtConfig(k=spec.k))
+        for c in (1e-3, 1e3):
+            scaled_problem = MmvProblem(
+                A=MeasurementMatrix.from_entries(c * problem.phi), B=c * problem.B, epsilon=0.0
+            )
+            assert scaled_problem.A.row_orthonormal == problem.A.row_orthonormal
+            scaled = iht_solve(scaled_problem, IhtConfig(k=spec.k))
+            assert scaled.detected_support == base.detected_support
+            assert scaled.inner_iterations == base.inner_iterations
+            error = np.abs(scaled.estimate - base.estimate).max()
+            assert error <= 1e-14 * np.abs(base.estimate).max()
 
 
 def test_support_matches_exhaustive_oracle_often():
@@ -209,14 +197,14 @@ def reference_iht(problem, cfg):
     hard_threshold_rows on every step and the dense residual B - phi alpha.
     With a fixed step, the certified least-squares finish is tried at a
     MUSIC start (at the step bound 0.98 / rho of 8 Lanczos steps when the
-    default step's operator is uncertified) and after every SETTLED_ITERS
-    iterations that kept the same support. An accepted try takes one step
+    operator is uncertified) and after every SETTLED_ITERS iterations that
+    kept the same support. An accepted try takes one step
     from the fit, which is not counted, and stops.
     Returns the coefficients, the last support and the iteration count."""
     phi, B, k = problem.phi, problem.B, cfg.k
     A = problem.A
     op_norm = math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(phi)
-    step = 0.98 / op_norm**2 if cfg.step is None else cfg.step
+    step = 0.98 / op_norm**2
     music = music_support(problem, k)
     if 0 < music.rank < problem.n:
         support = music.support
@@ -224,7 +212,7 @@ def reference_iht(problem, cfg):
         alpha = np.zeros((problem.N, problem.L))
         alpha[rows] = np.linalg.lstsq(phi[:, rows], B, rcond=None)[0]
         start_step = step
-        if cfg.step is None and not A.row_orthonormal:
+        if not A.row_orthonormal:
             start_step = 0.98 / spectral_norm(phi, 8, 0.0) ** 2
         fit = None
         if not cfg.adaptive_step:
@@ -441,11 +429,6 @@ def test_iht_solves_on_a_row_centred_operator():
         report = iht_solve(problem, IhtConfig(k=3, adaptive_step=adaptive))
         assert tuple(report.detected_support) == (3, 17, 25)
         assert np.abs(report.estimate - X).max() <= 1e-6
-
-
-def test_config_rejects_a_step_for_the_adaptive_rule():
-    with pytest.raises(InvalidArgumentError, match="step and adaptive_step"):
-        IhtConfig(k=2, step=1e-9, adaptive_step=True)
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])

@@ -30,7 +30,7 @@ def parameters(fn):
 
 def test_config_fields():
     assert field_names(NestaConfig) == ["mu_final", "max_inner_iters"]
-    assert field_names(IhtConfig) == ["k", "step", "max_iters", "adaptive_step"]
+    assert field_names(IhtConfig) == ["k", "max_iters", "adaptive_step"]
     assert field_names(SmoothingConfig) == ["mu", "aggregator", "known_support"]
     assert field_names(SweepConfig) == [
         "base",
@@ -48,7 +48,7 @@ def test_call_parameters():
     assert parameters(solve_problems) == ["solver", "problems", "k", "cfg", "use_music"]
     assert parameters(nesta_step) == ["state", "problem", "smoothing", "projector", "batch"]
     assert parameters(project_feasible) == ["q", "problem"]
-    assert parameters(iterative_nesta) == ["problem", "k", "smoothing", "cfg", "use_music"]
+    assert parameters(iterative_nesta) == ["problem", "k", "cfg", "use_music"]
 
 
 def test_radius_lives_only_on_the_problem():
