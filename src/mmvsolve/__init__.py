@@ -48,8 +48,6 @@ from .nesta import (
     project_feasible,
 )
 from .smoothing import (
-    AGGREGATOR_ENTRY_L1,
-    AGGREGATOR_ROW_L2,
     SmoothingConfig,
     smoothed_gradient,
     smoothed_objective,
@@ -66,8 +64,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATOR_ENTRY_L1",
-    "AGGREGATOR_ROW_L2",
     "DegenerateInputError",
     "FeasibilityProjector",
     "GroundTruthInstance",

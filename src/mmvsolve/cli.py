@@ -33,7 +33,7 @@ from .harness import (
 )
 from .music import MUSIC_DELTA, music_support
 from .nesta import NestaConfig
-from .synth import MATRIX_KINDS, ProblemSpec, gen_instance, read_keyvalue
+from .synth import MATRIX_KINDS, SPEC_KEYS, ProblemSpec, gen_instance, read_keyvalue
 
 
 # The solver flags of ``solve`` and the solvers that read each one. A
@@ -54,7 +54,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one recovery and print a summary line")
-    solve.add_argument("--spec", help="key-value file with n, N, L, k, rank, noise_sigma, seed")
+    solve.add_argument("--spec", help=f"key-value file with {', '.join(SPEC_KEYS)}")
     solve.add_argument("--n", type=int)
     solve.add_argument("--N", type=int)
     solve.add_argument("--L", type=int)
@@ -91,7 +91,7 @@ def _spec_from_args(args):
     """The spec of ``--spec``, or of the flags: a flag left out takes the
     ProblemSpec default, except that rank defaults to min(k, L)."""
     if args.spec:
-        return ProblemSpec.from_fields(read_keyvalue(args.spec))
+        return ProblemSpec.from_fields(read_keyvalue(args.spec, SPEC_KEYS))
     missing = [f for f in ("n", "N", "L", "k") if getattr(args, f) is None]
     if missing:
         raise InvalidArgumentError(

@@ -236,16 +236,13 @@ class MeasurementMatrix:
 class MmvProblem:
     """Measurements B of a row-sparse unknown, with a Frobenius noise ball.
 
-    The feasible set is {alpha : ||A Psi alpha - B||_F <= epsilon}. epsilon = 0
-    demands exact consistency. ``Psi``, when given, is an orthonormal N x N
-    sparsifying transform and the recovered signal is X = Psi alpha; by
-    default Psi is the identity and X = alpha. Treat instances as immutable.
+    The feasible set is {X : ||A X - B||_F <= epsilon}. epsilon = 0 demands
+    exact consistency. Treat instances as immutable.
     """
 
     A: MeasurementMatrix
     B: np.ndarray
     epsilon: float = 0.0
-    Psi: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.A, MeasurementMatrix):
@@ -256,16 +253,6 @@ class MmvProblem:
                 f"measurement block has {self.B.shape[0]} rows, expected {self.A.n}"
             )
         self.epsilon = as_real(self.epsilon, "epsilon", zero_ok=True)
-        if self.Psi is not None:
-            P = as_matrix(self.Psi, "sparsifying transform")
-            if P.shape != (self.A.N, self.A.N):
-                raise InvalidArgumentError("Psi must be square N x N")
-            dev = gram_deviation(P.T, 1.0)[0]
-            if dev > ROW_ORTHO_TOL:
-                raise InvalidArgumentError(
-                    f"Psi is not orthonormal: max|Psi^T Psi - I| = {dev:g}"
-                )
-            self.Psi = P
 
     @property
     def n(self):
@@ -281,21 +268,12 @@ class MmvProblem:
 
     @cached_property
     def phi(self):
-        """The combined operator A @ Psi acting on coefficients."""
-        if self.Psi is None:
-            return self.A.entries
-        return self.A.entries @ self.Psi
-
-    def signal_from_coefficients(self, alpha):
-        """Map coefficients back to the signal domain (X = Psi alpha)."""
-        if self.Psi is None:
-            return alpha
-        return self.Psi @ alpha
+        """The operator the solvers apply, the entries of A."""
+        return self.A.entries
 
     def coefficients_from_signal(self, X):
-        if self.Psi is None:
-            return X
-        return self.Psi.T @ X
+        """The identity: the solvers' coefficients are the signal."""
+        return X
 
 
 def row_l2(X):

@@ -47,7 +47,7 @@ from .nesta import (
     nesta_solve,  # noqa: F401
     nesta_solve_batch,
 )
-from .synth import ProblemSpec, field_value, gen_instance, read_keyvalue
+from .synth import SPEC_KEYS, ProblemSpec, field_value, gen_instance, read_keyvalue
 
 SOLVER_NESTA = "nesta"
 SOLVER_ITERATIVE_NESTA = "iterative-nesta"
@@ -80,6 +80,9 @@ AGGREGATE_MARKER = "agg"
 # config sets its own.
 SUCCESS_THRESHOLD = 1e-3
 
+# The keys of a sweep config file: a base spec's and the sweep's own.
+SWEEP_KEYS = SPEC_KEYS + ("trials", "solvers", "output", "grid.k", "grid.n", "success_threshold")
+
 # Largest operator, in entries n·N, of a sweep whose cells run in worker
 # processes: 64x256. On 2 CPUs with 2 BLAS threads, a 4-cell nesta + smv
 # sweep ran 1.35x faster in two workers at 64x256 (median of 8 alternating
@@ -105,7 +108,7 @@ def _column_problems(problem):
     """The L single-column problems of the per-channel baseline."""
     eps_col = problem.epsilon / np.sqrt(problem.L)
     return [
-        MmvProblem(A=problem.A, B=problem.B[:, j : j + 1], epsilon=eps_col, Psi=problem.Psi)
+        MmvProblem(A=problem.A, B=problem.B[:, j : j + 1], epsilon=eps_col)
         for j in range(problem.L)
     ]
 
@@ -118,14 +121,13 @@ def _stacked_columns(problem, reports):
         if isinstance(report, Exception):
             return report
     estimate = np.column_stack([r.estimate[:, 0] for r in reports])
-    alpha_hat = problem.coefficients_from_signal(estimate)
     return RecoveryReport(
         estimate=estimate,
         inner_iterations=sum(r.inner_iterations for r in reports),
         outer_iterations=1,
-        final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
+        final_residual=float(np.linalg.norm(problem.phi @ estimate - problem.B)),
         final_objective=sum(r.final_objective for r in reports),
-        detected_support=detected_support(alpha_hat),
+        detected_support=detected_support(estimate),
         objective_trace=np.concatenate([r.objective_trace for r in reports]),
         wall_time=sum(r.wall_time for r in reports),
         converged=all(r.converged for r in reports),
@@ -279,7 +281,7 @@ def _parse_int_list(raw):
 
 def parse_sweep_config(path):
     """Build a :class:`SweepConfig` from a flat key-value file."""
-    fields = read_keyvalue(path)
+    fields = read_keyvalue(path, SWEEP_KEYS)
     base = ProblemSpec.from_fields(fields)
     solvers = field_value(fields, "solvers", str)
     return SweepConfig(

@@ -432,7 +432,7 @@ def iht_solve(problem, cfg):
         converged = True
 
     return RecoveryReport(
-        estimate=problem.signal_from_coefficients(alpha),
+        estimate=alpha,
         inner_iterations=iterations,
         outer_iterations=1,
         final_residual=trace[-1],

@@ -1,7 +1,7 @@
 """Accelerated first-order solver for joint-sparse recovery over a noise ball.
 
 The solver minimizes the Huber-smoothed joint-sparsity objective over the
-feasible set {alpha : ||phi alpha - B||_F <= eps}, phi = A Psi, using
+feasible set {alpha : ||phi alpha - B||_F <= eps}, phi = A, using
 Nesterov's two-projection scheme. Each iteration takes a gradient-mapped
 point
 
@@ -546,12 +546,11 @@ def _step(state, batch):
         phi_alpha, phi_accum = state.phi_alpha, state.phi_accum
 
     mu = batch.mu
-    aggregator = batch.smoothing.aggregator
     alpha, grad_accum = state.alpha, state.grad_accum
     # each array of the old iterate is let go once used, before the
     # projection makes its own
     state.alpha = state.grad_accum = state.phi_alpha = state.phi_accum = None
-    grad = huber_gradient(alpha, mu, aggregator, trusted)
+    grad = huber_gradient(alpha, mu, trusted)
     phi_grad = ops.apply(grad)
     weight = 0.5 * (k + 1)
     grad_accum = grad_accum + weight * grad
@@ -561,7 +560,7 @@ def _step(state, batch):
     del alpha, grad, phi_alpha, phi_grad
     batch.project((y, z), (phi_y, phi_z))
     tau = 2.0 / (k + 3)
-    objective = huber_objective(y, mu, aggregator, trusted)
+    objective = huber_objective(y, mu, trusted)
     new = NestaState(
         k=state.k + 1,
         alpha=tau * z + (1.0 - tau) * y,
@@ -778,9 +777,8 @@ def _run_stage(solves, stage, smoothing, cfg):
 
 
 def _zero_data_report(problem):
-    alpha = np.zeros((problem.N, problem.L))
     return RecoveryReport(
-        estimate=problem.signal_from_coefficients(alpha),
+        estimate=np.zeros((problem.N, problem.L)),
         inner_iterations=0,
         outer_iterations=1,
         final_residual=float(np.linalg.norm(problem.B)),
@@ -801,7 +799,7 @@ def detected_support(alpha):
 def _report(solve):
     problem, alpha_hat, trace = solve.problem, solve.x, solve.trace
     return RecoveryReport(
-        estimate=problem.signal_from_coefficients(alpha_hat),
+        estimate=alpha_hat,
         inner_iterations=sum(solve.stage_iterations),
         outer_iterations=1,
         final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
@@ -864,14 +862,13 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
 def nesta_solve(problem, smoothing=None, cfg=None):
     """Solve one joint-sparse recovery problem with continuation.
 
-    The smoothing config supplies the aggregator and any trusted support;
-    its mu is managed by the continuation schedule, which runs
-    CONTINUATION_STAGES geometric steps from MU0_FACTOR times the data
-    scale down to ``mu_final``; a stage stops once the relative spread of
-    its objective over the last STOP_WINDOW iterations drops below
-    STOP_TOL. The returned estimate is the last gradient-mapped point y
-    (always feasible), mapped through Psi. This is :func:`nesta_solve_batch`
-    on a batch of one; its error is raised.
+    The smoothing config supplies any trusted support; its mu is managed
+    by the continuation schedule, which runs CONTINUATION_STAGES geometric
+    steps from MU0_FACTOR times the data scale down to ``mu_final``; a
+    stage stops once the relative spread of its objective over the last
+    STOP_WINDOW iterations drops below STOP_TOL. The returned estimate is
+    the last gradient-mapped point y (always feasible). This is
+    :func:`nesta_solve_batch` on a batch of one; its error is raised.
     """
     (report,) = nesta_solve_batch([problem], smoothing, cfg)
     if isinstance(report, Exception):
@@ -908,8 +905,7 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
         restarts += report.restarts
         traces.append(report.objective_trace)
         stage_iters.extend(report.stage_iterations)
-        alpha_hat = problem.coefficients_from_signal(report.estimate)
-        new_support = hard_threshold_rows(alpha_hat, k)[1]
+        new_support = hard_threshold_rows(report.estimate, k)[1]
         if new_support == support:
             stabilized = True
             break

@@ -1,18 +1,15 @@
-"""Huber-smoothed joint-sparsity objectives with closed-form gradients.
+"""Huber-smoothed row-l2 (l_{2,1}) objective with a closed-form gradient.
 
-Two aggregators are supported. "row_l2" smooths the l2 norm of each row,
-giving the l_{1,2}-style objective whose coupling across channels is the
-whole point of joint recovery. "entry_l1" smooths every entry separately,
-giving the l_{1,1} objective. Both arise from maximizing <u, .> - (mu/2)||u||^2
-over the matching unit dual ball, which collapses to the Huber function
+Maximizing <u, .> - (mu/2)||u||^2 over the unit dual ball of each row
+smooths that row's l2 norm, the coupling across channels that is the point
+of joint recovery, into the Huber function
 
     h_mu(t) = t - mu/2        if t >= mu
             = t^2 / (2 mu)    otherwise
 
-applied to row norms or to entry magnitudes. Rows listed in ``known_support``
-are trusted nonzero locations: they contribute neither value nor gradient.
-The gradient is (1/mu)-Lipschitz for either aggregator, which the solver
-uses directly as its step-size constant.
+of the row norm. Rows in ``known_support`` are trusted nonzero locations:
+they contribute neither value nor gradient. The gradient is
+(1/mu)-Lipschitz, the solver's step-size constant.
 
 ``smoothed_objective`` and ``smoothed_gradient`` validate their input. The
 kernels behind them, ``huber_objective`` and ``huber_gradient``, do not: a
@@ -28,40 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, SupportSet, as_matrix, as_real, row_l2
-
-AGGREGATOR_ROW_L2 = "row_l2"
-AGGREGATOR_ENTRY_L1 = "entry_l1"
-AGGREGATORS = (AGGREGATOR_ROW_L2, AGGREGATOR_ENTRY_L1)
+from .core import SupportSet, as_matrix, as_real, row_l2
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing parameter, row aggregator, and trusted support rows."""
+    """Smoothing parameter and trusted support rows. ``mu`` is read only by
+    ``nesta_step``, ``smoothed_objective`` and ``smoothed_gradient``; the
+    solvers set it by their continuation schedule."""
 
     mu: float = 1.0
-    aggregator: str = AGGREGATOR_ROW_L2
     known_support: SupportSet = SupportSet()
 
     def __post_init__(self):
         as_real(self.mu, "mu")
-        if self.aggregator not in AGGREGATORS:
-            raise InvalidArgumentError(
-                f"unknown aggregator {self.aggregator!r}; use one of {AGGREGATORS}"
-            )
         if not isinstance(self.known_support, SupportSet):
             object.__setattr__(
                 self, "known_support", SupportSet.from_indices(self.known_support)
             )
-
-    @property
-    def lipschitz(self):
-        """Lipschitz constant of the smoothed gradient."""
-        return 1.0 / self.mu
-
-
-def _huber(t, mu):
-    return np.where(t >= mu, t - 0.5 * mu, (0.5 / mu) * t * t)
 
 
 def trusted_rows(support, n_rows):
@@ -74,12 +55,13 @@ def trusted_rows(support, n_rows):
     return mask if mask.any() else None
 
 
-def huber_objective(alpha, mu, aggregator, trusted):
+def huber_objective(alpha, mu, trusted):
     """Kernel of :func:`smoothed_objective` over a stack: the objective of
     each block of ``alpha`` (P x N x L) at its mu, as a length-P array. No
     validation; ``trusted`` from :func:`trusted_rows`."""
-    t = row_l2(alpha)[..., None] if aggregator == AGGREGATOR_ROW_L2 else np.abs(alpha)
-    values = _huber(t, mu)
+    # the trailing axis lets a P x 1 x 1 mu broadcast one value per block
+    t = row_l2(alpha)[..., None]
+    values = np.where(t >= mu, t - 0.5 * mu, (0.5 / mu) * t * t)
     if trusted is not None:
         # compress keeps the rows C-contiguous, so that each block is summed
         # in the order it would be alone
@@ -87,14 +69,11 @@ def huber_objective(alpha, mu, aggregator, trusted):
     return values.reshape(len(values), -1).sum(axis=1)
 
 
-def huber_gradient(alpha, mu, aggregator, trusted):
+def huber_gradient(alpha, mu, trusted):
     """Kernel of :func:`smoothed_gradient` over a stack: ``alpha`` is
     P x N x L. No validation; ``trusted`` from :func:`trusted_rows`."""
-    if aggregator == AGGREGATOR_ROW_L2:
-        t = row_l2(alpha)[..., None]
-        grad = alpha / np.where(t >= mu, t, mu)
-    else:
-        grad = np.clip(alpha / mu, -1.0, 1.0)
+    t = row_l2(alpha)[..., None]
+    grad = alpha / np.where(t >= mu, t, mu)
     if trusted is not None:
         grad[:, trusted] = 0.0
     return grad
@@ -104,22 +83,21 @@ def smoothed_objective(alpha, cfg):
     """Value of the smoothed joint-sparsity objective at ``alpha``.
 
     Zero exactly when every row outside the trusted support is zero, and
-    within mu * (number of smoothed terms) / 2 below the unsmoothed mixed
+    within mu * (number of untrusted rows) / 2 below the unsmoothed mixed
     norm restricted to those rows.
     """
     alpha = as_matrix(alpha, "coefficients")
     trusted = trusted_rows(cfg.known_support, alpha.shape[0])
-    return float(huber_objective(alpha[None], cfg.mu, cfg.aggregator, trusted)[0])
+    return float(huber_objective(alpha[None], cfg.mu, trusted)[0])
 
 
 def smoothed_gradient(alpha, cfg):
     """Closed-form gradient of :func:`smoothed_objective`.
 
-    For row_l2, row j is alpha(j,:)/mu inside the quadratic region and
+    Row j is alpha(j,:)/mu inside the quadratic region and
     alpha(j,:)/||alpha(j,:)||_2 beyond it, so no row of the gradient ever
-    exceeds unit l2 norm. Entries clip at +-1 for entry_l1. Trusted rows
-    get an exactly zero gradient.
+    exceeds unit l2 norm. Trusted rows get an exactly zero gradient.
     """
     alpha = as_matrix(alpha, "coefficients")
     trusted = trusted_rows(cfg.known_support, alpha.shape[0])
-    return huber_gradient(alpha[None], cfg.mu, cfg.aggregator, trusted)[0]
+    return huber_gradient(alpha[None], cfg.mu, trusted)[0]

@@ -32,6 +32,9 @@ MATRIX_GAUSSIAN = "gaussian"
 MATRIX_ROW_ORTHONORMAL = "row-orthonormal-gaussian"
 MATRIX_KINDS = (MATRIX_GAUSSIAN, MATRIX_ROW_ORTHONORMAL)
 
+# The keys of a spec file, in the order export_instance writes them.
+SPEC_KEYS = ("n", "N", "L", "k", "rank", "noise_sigma", "matrix_kind", "seed")
+
 # Slack factor on the expected noise norm when calibrating epsilon.
 EPSILON_SLACK = 1.1
 
@@ -186,8 +189,9 @@ class ProblemSpec:
         )
 
 
-def read_keyvalue(path):
-    """Parse a flat ``key = value`` text file; '#' starts a comment line."""
+def read_keyvalue(path, keys):
+    """Parse a flat ``key = value`` text file; '#' starts a comment line. A
+    key outside ``keys`` or given twice raises InvalidArgumentError."""
     fields = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -197,7 +201,11 @@ def read_keyvalue(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys or key in fields:
+                why = "repeated" if key in fields else f"unknown; use one of {', '.join(keys)}"
+                raise InvalidArgumentError(f"{path}:{lineno}: key {key!r} {why}")
+            fields[key] = value.strip()
     return fields
 
 
@@ -275,13 +283,13 @@ def export_instance(instance, prefix):
     write_matrix(f"{prefix}_B.csv", instance.problem.B)
     spec = instance.spec
     with open(f"{prefix}_spec.txt", "w") as fh:
-        for name in ("n", "N", "L", "k", "rank", "noise_sigma", "matrix_kind", "seed"):
+        for name in SPEC_KEYS:
             fh.write(f"{name} = {getattr(spec, name)}\n")
 
 
 def import_instance(prefix):
     """Rebuild an exported instance; the matrix certification is recomputed."""
-    spec = ProblemSpec.from_fields(read_keyvalue(f"{prefix}_spec.txt"))
+    spec = ProblemSpec.from_fields(read_keyvalue(f"{prefix}_spec.txt", SPEC_KEYS))
     A = MeasurementMatrix.from_entries(read_matrix(f"{prefix}_A.csv"))
     X = read_matrix(f"{prefix}_X.csv")
     B = read_matrix(f"{prefix}_B.csv")

@@ -11,8 +11,6 @@ import re
 import numpy as np
 
 from mmvsolve import (
-    AGGREGATOR_ENTRY_L1,
-    AGGREGATOR_ROW_L2,
     FeasibilityProjector,
     IhtConfig,
     MeasurementMatrix,
@@ -52,8 +50,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         N = int(rng.integers(2, 31))
         L = int(rng.integers(1, 6))
         mu = mus[trial % 3]
-        agg = AGGREGATOR_ROW_L2 if trial % 2 == 0 else AGGREGATOR_ENTRY_L1
-        cfg = SmoothingConfig(mu=mu, aggregator=agg)
+        cfg = SmoothingConfig(mu=mu)
         alpha = rng.standard_normal((N, L))
         grad = smoothed_gradient(alpha, cfg)
         for i in range(N):

@@ -150,6 +150,20 @@ def test_solve_malformed_spec_value_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'k'" in err
 
 
+@pytest.mark.parametrize(
+    "extra, words",
+    [("noise_sigm = 0.5", "key 'noise_sigm' unknown"), ("k = 10", "key 'k' repeated")],
+)
+def test_solve_spec_with_an_unknown_or_repeated_key_exits_2(extra, words, tmp_path, capsys):
+    # a misspelt key must not solve noiselessly, nor a repeated one take its last value
+    spec_file = tmp_path / "case.txt"
+    spec_file.write_text(f"n = 20\nN = 40\nL = 3\nk = 8\nrank = 2\n{extra}\n")
+    assert main(["solve", "--spec", str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {spec_file}:6: {words}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_non_finite_noise_exits_2(value, capsys):
     assert main(["solve", "--n", "16", "--N", "32", "--L", "2", "--k", "3", "--noise", value]) == 2

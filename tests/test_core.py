@@ -410,11 +410,9 @@ def test_mmv_problem_validation():
         MmvProblem(A=A, B=np.zeros((2, 1)))
     with pytest.raises(InvalidArgumentError):
         MmvProblem(A=A, B=np.zeros((3, 1)), epsilon=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        MmvProblem(A=A, B=np.zeros((3, 1)), Psi=np.ones((3, 3)))
     prob = MmvProblem(A=A, B=np.ones((3, 2)), epsilon=0.5)
     assert (prob.n, prob.N, prob.L) == (3, 3, 2)
-    assert prob.phi is A.entries  # identity transform adds no copy
+    assert prob.phi is A.entries  # the operator is not copied
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

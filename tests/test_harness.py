@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import sys
 
 import numpy as np
@@ -182,6 +183,32 @@ def test_parse_sweep_config_missing_key(tmp_path):
     cfg_path.write_text("n = 4\n")
     with pytest.raises(InvalidArgumentError):
         parse_sweep_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "line, words",
+    [
+        ("trial = 3", "key 'trial' unknown"),
+        ("grid.L = 2, 3", "key 'grid.L' unknown"),
+        ("solvers = iht", "key 'solvers' repeated"),
+    ],
+)
+def test_parse_sweep_config_rejects_an_unknown_or_repeated_key(tmp_path, line, words):
+    cfg_path = tmp_path / "sweep.cfg"
+    write_config(cfg_path)
+    with open(cfg_path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{cfg_path}:12: {words}")):
+        parse_sweep_config(cfg_path)
+
+
+def test_parse_sweep_config_takes_every_key(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    extra = {"matrix_kind": "gaussian", "grid.k": "2", "grid.n": "10, 12"}
+    write_config(cfg_path, **extra, success_threshold=0.01)
+    cfg = parse_sweep_config(cfg_path)
+    assert (cfg.base.matrix_kind, cfg.grid_k, cfg.grid_n) == ("gaussian", (2,), (10, 12))
+    assert cfg.success_threshold == 0.01
 
 
 def test_minimal_sweep_csv_shape(tmp_path):

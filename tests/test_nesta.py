@@ -554,7 +554,8 @@ def test_iterative_nesta_music_seed_trusts_best_scored_rows(monkeypatch):
 
 
 def test_solve_with_sparsifying_transform():
-    # coefficients are row-sparse in a non-canonical orthonormal basis
+    # the signal is row-sparse in a non-canonical orthonormal basis Psi,
+    # X = Psi alpha: solve for alpha with the operator A @ Psi, map back
     rng = np.random.default_rng(31)
     N, n, L, k = 24, 12, 3, 2
     Psi = np.linalg.qr(rng.standard_normal((N, N)))[0]
@@ -562,11 +563,12 @@ def test_solve_with_sparsifying_transform():
     alpha_true = inst.X_true  # row-sparse coefficients
     A = inst.problem.A
     X_true = Psi @ alpha_true
-    problem = MmvProblem(A=A, B=A.entries @ X_true, epsilon=0.0, Psi=Psi)
+    problem = MmvProblem(A=A.entries @ Psi, B=A.entries @ X_true, epsilon=0.0)
+    assert problem.A.row_orthonormal  # an orthonormal Psi keeps A A^T = c I
     report = nesta_solve(problem)
-    rel = np.linalg.norm(report.estimate - X_true) / np.linalg.norm(X_true)
+    rel = np.linalg.norm(Psi @ report.estimate - X_true) / np.linalg.norm(X_true)
     assert rel < 1e-3
-    alpha_hat = problem.coefficients_from_signal(report.estimate)
+    alpha_hat = report.estimate
     assert np.linalg.norm(alpha_hat - alpha_true) / np.linalg.norm(alpha_true) < 1e-3
     # support detection happens in the coefficient domain
     assert report.detected_support == inst.support_true
@@ -735,7 +737,7 @@ def test_nesta_solve_is_its_documented_schedule_of_nesta_steps(index):
     report = nesta_solve(problem, cfg=cfg)
     assert report.stage_iterations == stage_iterations
     assert np.array_equal(report.objective_trace, np.array(trace))
-    assert np.array_equal(report.estimate, problem.signal_from_coefficients(x))
+    assert np.array_equal(report.estimate, x)
 
 
 def test_batch_records_an_infeasible_problem_and_solves_the_rest():

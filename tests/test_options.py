@@ -9,6 +9,7 @@ import inspect
 
 from mmvsolve import (
     IhtConfig,
+    MmvProblem,
     NestaConfig,
     SmoothingConfig,
     SweepConfig,
@@ -31,7 +32,8 @@ def parameters(fn):
 def test_config_fields():
     assert field_names(NestaConfig) == ["mu_final", "max_inner_iters"]
     assert field_names(IhtConfig) == ["k", "max_iters", "adaptive_step"]
-    assert field_names(SmoothingConfig) == ["mu", "aggregator", "known_support"]
+    assert field_names(SmoothingConfig) == ["mu", "known_support"]
+    assert field_names(MmvProblem) == ["A", "B", "epsilon"]
     assert field_names(SweepConfig) == [
         "base",
         "solvers",

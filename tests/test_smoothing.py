@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mmvsolve import (
-    AGGREGATOR_ENTRY_L1,
-    AGGREGATOR_ROW_L2,
     InvalidArgumentError,
     SmoothingConfig,
     SupportSet,
@@ -30,11 +28,8 @@ def fd_gradient(alpha, cfg, h=1e-6):
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         SmoothingConfig(mu=0.0)
-    with pytest.raises(InvalidArgumentError):
-        SmoothingConfig(aggregator="huber")
     cfg = SmoothingConfig(known_support=[3, 1])
     assert tuple(cfg.known_support) == (1, 3)
-    assert SmoothingConfig(mu=0.25).lipschitz == pytest.approx(4.0)
 
 
 def test_objective_single_row_value():
@@ -45,12 +40,6 @@ def test_objective_single_row_value():
     ts = np.linspace(0.0, 1.0, 200001)
     vals = ts * 5.0 - 0.5 * ts * ts
     assert vals.max() == pytest.approx(4.5, abs=1e-9)
-
-
-def test_objective_entrywise_value():
-    cfg = SmoothingConfig(mu=1.0, aggregator=AGGREGATOR_ENTRY_L1)
-    # per entry: (3 - 1/2) + (4 - 1/2)
-    assert smoothed_objective([[3.0, 4.0]], cfg) == pytest.approx(6.0)
 
 
 def test_objective_zero_matrix_and_masked_row():
@@ -72,11 +61,10 @@ def test_gradient_matches_finite_differences():
         N = int(rng.integers(2, 31))
         L = int(rng.integers(1, 6))
         mu = float(rng.choice([1.0, 0.1, 0.01]))
-        agg = AGGREGATOR_ROW_L2 if trial % 2 == 0 else AGGREGATOR_ENTRY_L1
         support = SupportSet.from_indices(
             rng.choice(N, size=int(rng.integers(0, N // 2 + 1)), replace=False)
         )
-        cfg = SmoothingConfig(mu=mu, aggregator=agg, known_support=support)
+        cfg = SmoothingConfig(mu=mu, known_support=support)
         alpha = rng.standard_normal((N, L))
         g = smoothed_gradient(alpha, cfg)
         fd = fd_gradient(alpha, cfg)
@@ -95,53 +83,43 @@ def test_gradient_row_norms_bounded_by_one():
 
 def test_smoothing_sandwich_bound():
     rng = np.random.default_rng(77)
-    for agg in (AGGREGATOR_ROW_L2, AGGREGATOR_ENTRY_L1):
-        for _ in range(10):
-            N, L = int(rng.integers(1, 12)), int(rng.integers(1, 5))
-            mu = float(rng.uniform(0.01, 2.0))
-            T = SupportSet.from_indices(
-                rng.choice(N, size=int(rng.integers(0, N)), replace=False)
-            )
-            cfg = SmoothingConfig(mu=mu, aggregator=agg, known_support=T)
-            alpha = rng.standard_normal((N, L))
-            free = ~T.mask(N)
-            restricted = alpha[free]
-            if restricted.size == 0:
-                continue
-            exact = (
-                mixed_norm(restricted, 1, 2)
-                if agg == AGGREGATOR_ROW_L2
-                else np.abs(restricted).sum()
-            )
-            terms = free.sum() if agg == AGGREGATOR_ROW_L2 else free.sum() * L
-            smooth = smoothed_objective(alpha, cfg)
-            assert smooth <= exact + 1e-12
-            assert exact <= smooth + mu * terms / 2 + 1e-12
+    for _ in range(10):
+        N, L = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        mu = float(rng.uniform(0.01, 2.0))
+        T = SupportSet.from_indices(rng.choice(N, size=int(rng.integers(0, N)), replace=False))
+        cfg = SmoothingConfig(mu=mu, known_support=T)
+        alpha = rng.standard_normal((N, L))
+        free = ~T.mask(N)
+        restricted = alpha[free]
+        if restricted.size == 0:
+            continue
+        exact = mixed_norm(restricted, 1, 2)
+        smooth = smoothed_objective(alpha, cfg)
+        assert smooth <= exact + 1e-12
+        assert exact <= smooth + mu * free.sum() / 2 + 1e-12
 
 
 def test_gradient_lipschitz_bound():
     rng = np.random.default_rng(13)
-    for agg in (AGGREGATOR_ROW_L2, AGGREGATOR_ENTRY_L1):
-        for _ in range(20):
-            mu = float(rng.uniform(0.01, 1.0))
-            cfg = SmoothingConfig(mu=mu, aggregator=agg)
-            a = rng.standard_normal((8, 3))
-            b = rng.standard_normal((8, 3))
-            lhs = np.linalg.norm(smoothed_gradient(a, cfg) - smoothed_gradient(b, cfg))
-            assert lhs <= (1.0 / mu) * np.linalg.norm(a - b) + 1e-10
+    for _ in range(20):
+        mu = float(rng.uniform(0.01, 1.0))
+        cfg = SmoothingConfig(mu=mu)
+        a = rng.standard_normal((8, 3))
+        b = rng.standard_normal((8, 3))
+        lhs = np.linalg.norm(smoothed_gradient(a, cfg) - smoothed_gradient(b, cfg))
+        assert lhs <= (1.0 / mu) * np.linalg.norm(a - b) + 1e-10
 
 
 def test_convexity_along_segments():
     rng = np.random.default_rng(29)
-    for agg in (AGGREGATOR_ROW_L2, AGGREGATOR_ENTRY_L1):
-        cfg = SmoothingConfig(mu=0.3, aggregator=agg)
-        for _ in range(20):
-            a = rng.standard_normal((6, 2))
-            b = rng.standard_normal((6, 2))
-            t = float(rng.uniform())
-            mix = smoothed_objective(t * a + (1 - t) * b, cfg)
-            bound = t * smoothed_objective(a, cfg) + (1 - t) * smoothed_objective(b, cfg)
-            assert mix <= bound + 1e-12
+    cfg = SmoothingConfig(mu=0.3)
+    for _ in range(20):
+        a = rng.standard_normal((6, 2))
+        b = rng.standard_normal((6, 2))
+        t = float(rng.uniform())
+        mix = smoothed_objective(t * a + (1 - t) * b, cfg)
+        bound = t * smoothed_objective(a, cfg) + (1 - t) * smoothed_objective(b, cfg)
+        assert mix <= bound + 1e-12
 
 
 def test_objective_converges_to_mixed_norm_as_mu_shrinks():

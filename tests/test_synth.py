@@ -329,3 +329,9 @@ def test_import_rejects_a_malformed_spec_file(tmp_path):
     spec_path.write_text("\n".join(lines[:2] + ["L 3"] + lines[3:]))
     with pytest.raises(InvalidArgumentError, match=re.escape(f"{spec_path}:3:")):
         import_instance(prefix)
+    spec_path.write_text("\n".join(lines + ["grid.k = 3"]))
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{spec_path}:9: key 'grid.k' unknown")):
+        import_instance(prefix)
+    spec_path.write_text("\n".join(lines + ["seed = 56"]))
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{spec_path}:9: key 'seed' repeated")):
+        import_instance(prefix)
