@@ -103,11 +103,15 @@ def _spec_from_args(args):
     return ProblemSpec(n=args.n, N=args.N, L=args.L, k=args.k, rank=rank, **given)
 
 
+def _flag_value(args, flag):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def check_solver_flags(args):
     """Raise InvalidArgumentError for a given solver flag that the parsed
     ``solve`` args' solver would ignore."""
     for flag, solvers in SOLVER_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _flag_value(args, flag)
         # by identity: --eps 0 is a given flag, though 0 == False
         if value is not None and value is not False and args.solver not in solvers:
             raise InvalidArgumentError(
@@ -116,9 +120,24 @@ def check_solver_flags(args):
             )
 
 
+def check_problem_source(args):
+    """Raise InvalidArgumentError when the parsed ``solve`` args give flags
+    of more than one problem source: the spec flags, --spec, or loaded data."""
+    spec_flags = ("--n", "--N", "--L", "--k", "--rank", "--noise", "--seed", "--matrix-kind")
+    sources = (spec_flags, ("--spec",), ("--load-matrix", "--load-data"))
+    given = [[f for f in flags if _flag_value(args, f) is not None] for flags in sources]
+    used = [", ".join(flags) for flags in given if flags]
+    if len(used) > 1:
+        raise InvalidArgumentError(
+            "solve takes its problem from one source (the spec flags, --spec, or "
+            f"--load-matrix with --load-data), got {'; '.join(used)}"
+        )
+
+
 def _cmd_solve(args):
     """Solve a loaded problem (no ground truth) or a generated one (scored)."""
     check_solver_flags(args)
+    check_problem_source(args)
     instance = None
     if args.load_matrix or args.load_data:
         if not args.load_matrix:

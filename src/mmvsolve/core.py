@@ -163,18 +163,15 @@ class SupportSet:
     def __contains__(self, i):
         return i in self.indices
 
-    def validate_for(self, n_rows):
-        if self.indices and self.indices[-1] >= n_rows:
-            raise InvalidArgumentError(
-                f"support index {self.indices[-1]} out of range for {n_rows} rows"
-            )
-
     def as_array(self):
         return np.asarray(self.indices, dtype=int)
 
     def mask(self, n_rows):
         """Boolean vector of length n_rows, True on the support."""
-        self.validate_for(n_rows)
+        if self.indices and self.indices[-1] >= n_rows:
+            raise InvalidArgumentError(
+                f"support index {self.indices[-1]} out of range for {n_rows} rows"
+            )
         m = np.zeros(n_rows, dtype=bool)
         m[list(self.indices)] = True
         return m
@@ -470,5 +467,12 @@ def write_matrix(path, X):
 
 def read_matrix(path):
     """Read a matrix written by :func:`write_matrix` (or any numeric CSV)."""
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
-    return as_matrix(M, f"matrix from {path}")
+    name = f"matrix from {path}"
+    with warnings.catch_warnings():
+        # an empty file loads as an empty array, which as_matrix rejects
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            M = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{name}: {exc}") from None
+    return as_matrix(M, name)

@@ -263,6 +263,11 @@ class SweepConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise InvalidArgumentError(f"unknown solver {s!r}; use one of {SOLVERS}")
+        # a repeated value would run its cells twice under one aggregate
+        named = (("solvers", self.solvers), ("grid.k", self.grid_k), ("grid.n", self.grid_n))
+        for name, values in named:
+            if len(set(values)) < len(values):
+                raise InvalidArgumentError(f"{name} repeats a value: {values}")
         if not self.grid_k:
             object.__setattr__(self, "grid_k", (self.base.k,))
         if not self.grid_n:

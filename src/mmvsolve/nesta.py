@@ -36,7 +36,7 @@ into a correction (v, G v) with G = phi phi^T, moving q to q - phi^T v and
 its image to phi q - G v; one fused phi^T product serves both points, and
 the projected images need no product at all. The tracked images are
 recomputed exactly at each stage start and every REFRESH_EVERY iterations.
-Inputs are validated and the trusted-row mask is built once per stage.
+Inputs are validated and the trusted-row mask is built once per solve call.
 
 All of this runs in the projector's basis of the data space. For a
 certified operator (phi phi^T = c I) that is the given basis. Otherwise it
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ from .core import (
     top_k,
 )
 from .music import music_support
-from .smoothing import SmoothingConfig, huber_gradient, huber_objective, trusted_rows
+from .smoothing import huber_gradient, huber_objective, trusted_rows
 
 # Continuation constants: first stage smoothing as a fraction of the data
 # scale max_j ||(phi^T B)(j,:)||_2, the default final smoothing, and the
@@ -157,9 +158,8 @@ class NestaState:
 
     The images of ``alpha``, ``prox_center`` and ``grad_accum`` under the
     projector's ``operator`` (phi in the projector's basis), tracked by
-    linearity, and the trusted-row mask of the stage's smoothing config
-    (None when no row is trusted) belong to the running stage and are
-    filled by its first :func:`nesta_step`.
+    linearity, belong to the running stage and are filled by its first
+    :func:`nesta_step`.
     """
 
     k: int | np.ndarray
@@ -172,7 +172,6 @@ class NestaState:
     phi_alpha: np.ndarray | None = None
     phi_prox: np.ndarray | None = None
     phi_accum: np.ndarray | None = None
-    trusted: np.ndarray | None = None
     iteration: int = 0
 
 
@@ -451,14 +450,15 @@ class _Batch:
     that basis too. Certified slots take the radial shrink vectorized when
     there are several of them; every other slot, the ``looped`` ones, calls
     its projector's :meth:`~FeasibilityProjector.basis_correction`.
+    ``trusted`` is the trusted-row mask of every slot, None if no row is.
     """
 
-    def __init__(self, operators, projectors, mu, data, smoothing):
+    def __init__(self, operators, projectors, mu, data, trusted):
         self.operators = operators
         self.projectors = projectors
         self.mu = _per_slot(mu)
         self.data = data
-        self.smoothing = smoothing
+        self.trusted = trusted
         self.shrunk = sum(p.gram_scale is not None for p in projectors) > 1
         self.looped = [
             j for j, p in enumerate(projectors) if p.gram_scale is None or not self.shrunk
@@ -468,14 +468,14 @@ class _Batch:
             self.scale = np.array([p.gram_scale or 1.0 for p in projectors], dtype=float)
 
     @classmethod
-    def of(cls, projectors, mus, smoothing):
+    def of(cls, projectors, mus, trusted):
         """The batch of the given problems and, per slot, its input position."""
         operators = _Operators.of([p.operator for p in projectors])
         order = operators.order
         projectors = [projectors[i] for i in order]
         mu = np.array([mus[i] for i in order], dtype=float)
         data = np.stack([p.data for p in projectors])
-        return cls(operators, projectors, mu, data, smoothing), order
+        return cls(operators, projectors, mu, data, trusted), order
 
     def project(self, points, images):
         """Project the two points of every slot onto the slot's ball, in place.
@@ -533,13 +533,9 @@ def _step(state, batch):
     given state is used up: its iterate, gradient sum and their images are
     cleared. :func:`nesta_step` runs every iteration on this step.
     """
-    ops = batch.operators
+    ops, trusted = batch.operators, batch.trusted
     k = _per_slot(state.k)
-    if state.phi_alpha is None:
-        trusted = trusted_rows(batch.smoothing.known_support, state.alpha.shape[1])
-        phi_prox = ops.apply(state.prox_center)
-    else:
-        trusted, phi_prox = state.trusted, state.phi_prox
+    phi_prox = ops.apply(state.prox_center) if state.phi_alpha is None else state.phi_prox
     if state.phi_alpha is None or state.iteration % REFRESH_EVERY == 0:
         phi_alpha, phi_accum = ops.apply(state.alpha), ops.apply(state.grad_accum)
     else:
@@ -572,7 +568,6 @@ def _step(state, batch):
         phi_alpha=tau * phi_z + (1.0 - tau) * phi_y,
         phi_prox=phi_prox,
         phi_accum=phi_accum,
-        trusted=trusted,
         iteration=state.iteration + 1,
     )
     return new, objective
@@ -585,8 +580,8 @@ def _map_arrays(state, fn):
         for a in (state.alpha, state.y, state.z, state.prox_center, state.grad_accum)
         + (state.phi_alpha, state.phi_prox, state.phi_accum)
     ]
-    k, trace, trusted = fn(np.asarray(state.k)), state.objective_trace, state.trusted
-    return NestaState(k, *arrays[:5], trace, *arrays[5:], trusted, state.iteration)
+    k, trace = fn(np.asarray(state.k)), state.objective_trace
+    return NestaState(k, *arrays[:5], trace, *arrays[5:], state.iteration)
 
 
 def nesta_step(state, problem, smoothing, projector=None, batch=None):
@@ -603,16 +598,17 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
     V^T phi for an uncertified phi): ``operator @ grad``, from which the
     images of both points to project follow by linearity, and one fused
     ``operator^T`` product for the points that leave the ball; none with
-    V. The first step of a stage builds the trusted-row mask and computes
-    the tracked images exactly; every REFRESH_EVERY stage iterations (the
-    state's ``iteration``, not k) the drifting ones are recomputed.
+    V. The first step of a stage computes the tracked images exactly;
+    every REFRESH_EVERY stage iterations (the state's ``iteration``, not k)
+    the drifting ones are recomputed.
 
     Without ``batch`` this is one problem's step: ``state`` holds one
     iterate, the first step validates it, the projector is built from
-    ``problem`` unless given, and a float is appended to the trace. With
-    ``batch`` (a ``_Batch``) ``state`` is that batch's stacked state, only
-    the two are read, and the objective row of all slots is appended; every
-    iteration of every stage of :func:`nesta_solve_batch` is one such call.
+    ``problem`` unless given, each call reads mu and the trusted rows of
+    ``smoothing``, and a float is appended to the trace. With ``batch`` (a
+    ``_Batch``) ``state`` is that batch's stacked state, only the two are
+    read, and the objective row of all slots is appended; every iteration
+    of every stage of :func:`nesta_solve_batch` is one such call.
     """
     if batch is not None:
         state, objective = _step(state, batch)
@@ -620,9 +616,10 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
         return state
     if projector is None:
         projector = _build_projector(problem)
-    batch, _ = _Batch.of([projector], [smoothing.mu], smoothing)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
+    trusted = trusted_rows(smoothing.known_support, len(state.alpha))
+    batch, _ = _Batch.of([projector], [smoothing.mu], trusted)
     new, objective = _step(_map_arrays(state, lambda a: a[None]), batch)
     state.objective_trace.append(float(objective[0]))
     new = _map_arrays(new, lambda a: a[0])
@@ -632,24 +629,23 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
 
 @dataclass(eq=False)
 class _Solve:
-    """One problem's progress through :func:`nesta_solve_batch`."""
+    """One problem's progress through :func:`nesta_solve_batch`, its trace included."""
 
     problem: MmvProblem
     projector: FeasibilityProjector
     schedule: list
     floor: float
     x: np.ndarray
-    trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    trace: array = field(default_factory=lambda: array("d"))
     stage_iterations: list = field(default_factory=list)
     restarts: int = 0
     converged: bool = True
 
 
-def _start(problem, smoothing, cfg, bases):
+def _start(problem, cfg, bases):
     """A :class:`_Solve` at the projected back-projection of the data, or
     the final report when the data is zero; ``bases`` as in
     :func:`_build_projector`."""
-    smoothing.known_support.validate_for(problem.N)
     projector = _build_projector(problem, bases)
     corr = problem.phi.T @ problem.B
     scale = float(row_norms(corr, 2).max())
@@ -680,7 +676,7 @@ def _restart(state, batch, slots):
         state.phi_accum[j] = 0.0
 
 
-def _run_stage(solves, stage, smoothing, cfg):
+def _run_stage(solves, stage, trusted, cfg):
     """Run continuation stage ``stage`` of the given solves as one batch.
 
     Every solve iterates at its own mu from its last y until the relative
@@ -696,20 +692,16 @@ def _run_stage(solves, stage, smoothing, cfg):
 
     def batch_of(active):
         mus = [s.schedule[stage] for s in active]
-        return _Batch.of([s.projector for s in active], mus, smoothing)
+        return _Batch.of([s.projector for s in active], mus, trusted)
 
     batch, order = batch_of(solves)
     active = [solves[i] for i in order]
-    ids = np.asarray(order)  # position in ``solves`` of each slot
     state = initial_state(np.stack([s.x for s in active]))
     width = STOP_WINDOW
     # each objective is written twice, so the last ``width`` of them are
     # always the contiguous rows k % width .. k % width + width - 1
     recent = np.empty((2 * width, len(active)))
     floor = np.array([s.floor for s in active])
-    # the state's trace holds the objective rows since the batch last
-    # changed; ``epochs`` the (ids, block) of each batch before
-    epochs = []
     for _ in range(cfg.max_inner_iters):
         # the step reads neither y nor z: let them go before it makes new ones
         state.y = state.z = None
@@ -717,7 +709,9 @@ def _run_stage(solves, stage, smoothing, cfg):
         # ``nesta_step`` (a tracer's) sees every iteration
         state = nesta_step(state, None, None, batch=batch)
         it = state.iteration
-        objective = state.objective_trace[-1]
+        objective = state.objective_trace.pop()
+        for solve, value in zip(active, objective.tolist()):
+            solve.trace.append(value)
         if it > 1:
             rose = objective > recent[(it - 2) % width]
             if rose.any():
@@ -736,7 +730,6 @@ def _run_stage(solves, stage, smoothing, cfg):
         leaving = (spread <= STOP_TOL * np.maximum(level, 1e-30)) | (top <= floor)
         if not leaving.any():
             continue
-        epochs.append((ids, np.array(state.objective_trace)))
         for j in np.flatnonzero(leaving):
             active[j].x = state.y[j].copy()
             active[j].stage_iterations.append(it)
@@ -749,31 +742,14 @@ def _run_stage(solves, stage, smoothing, cfg):
         batch, order = batch_of([active[j] for j in keep])
         taken = keep[order]
         active = [active[j] for j in taken]
-        ids = ids[taken]
         # y is kept: it is the estimate of a slot that meets the cap next
         state = _map_arrays(state, lambda a: a[taken])
-        state.objective_trace = []
         recent, floor = recent[:, taken], floor[taken]
     else:
-        if state.objective_trace:
-            epochs.append((ids, np.array(state.objective_trace)))
         for j, solve in enumerate(active):
             solve.x = state.y[j].copy()
             solve.stage_iterations.append(state.iteration)
             solve.converged = False
-    # each solve's objectives in iteration order, as views of one array: a
-    # solve in a block has logged exactly the iterations before that block
-    counts = np.zeros(len(solves), dtype=int)
-    for ids, block in epochs:
-        counts[ids] += len(block)
-    starts = np.cumsum(counts) - counts
-    values = np.empty(counts.sum())
-    before = 0
-    for ids, block in epochs:
-        values[starts[ids] + before + np.arange(len(block))[:, None]] = block
-        before += len(block)
-    for solve, piece in zip(solves, np.split(values, starts[1:])):
-        solve.trace = np.concatenate([solve.trace, piece])
 
 
 def _zero_data_report(problem):
@@ -797,7 +773,7 @@ def detected_support(alpha):
 
 
 def _report(solve):
-    problem, alpha_hat, trace = solve.problem, solve.x, solve.trace
+    problem, alpha_hat, trace = solve.problem, solve.x, np.array(solve.trace)
     return RecoveryReport(
         estimate=alpha_hat,
         inner_iterations=sum(solve.stage_iterations),
@@ -813,32 +789,34 @@ def _report(solve):
     )
 
 
-def nesta_solve_batch(problems, smoothing=None, cfg=None):
+def nesta_solve_batch(problems, known_support=(), cfg=None):
     """Solve problems of one shape together; one report (or error) each.
 
-    Each problem keeps its own data scale, mu schedule, radius, projector
-    and stop decisions, and gets the report :func:`nesta_solve` describes,
-    bit for bit the one it would get alone. The continuation stages run in
-    step: every problem still in a stage iterates on stacked arrays, with
-    two stacked products with phi per iteration, until its own stop test
-    removes it from the batch. A problem that fails its setup with one of
-    SOLVER_ERRORS (a trusted support out of range, an empty ball) gets the
-    error in its place of the returned list and is not iterated; the
-    others are not affected. Each report's ``wall_time`` is its share of
-    the call's elapsed time, in proportion to inner iterations.
+    Every problem trusts the rows of ``known_support`` (a SupportSet or
+    any iterable of row indices) and keeps its own data scale, mu
+    schedule, radius, projector and stop decisions, so it gets bit for bit
+    the report :func:`nesta_solve` would give it alone. The stages run in
+    step on stacked arrays, two stacked products with phi per iteration,
+    until each problem's own stop test removes it from the batch. Mixed
+    shapes or a support out of range for N raise InvalidArgumentError
+    before any setup; a problem whose setup fails with one of
+    SOLVER_ERRORS (an empty ball) gets the error in its place of the list
+    and is not iterated. Each report's ``wall_time`` is its share of the
+    call's elapsed time, in proportion to inner iterations.
     """
     t0 = time.perf_counter()
-    smoothing = SmoothingConfig() if smoothing is None else smoothing
     cfg = NestaConfig() if cfg is None else cfg
     problems = list(problems)
     if len({(p.n, p.N, p.L) for p in problems}) > 1:
         raise InvalidArgumentError("problems solved as one batch must share n, N and L")
+    support = SupportSet.from_indices(known_support)
+    trusted = trusted_rows(support, problems[0].N) if problems else None
     results = [None] * len(problems)
     solves = {}
     bases = {}  # one eigendecomposition per distinct uncertified operator
     for i, problem in enumerate(problems):
         try:
-            started = _start(problem, smoothing, cfg, bases)
+            started = _start(problem, cfg, bases)
         except SOLVER_ERRORS as exc:
             results[i] = exc
             continue
@@ -847,7 +825,7 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
         else:
             solves[i] = started
     for stage in range(max((len(s.schedule) for s in solves.values()), default=0)):
-        _run_stage([s for s in solves.values() if stage < len(s.schedule)], stage, smoothing, cfg)
+        _run_stage([s for s in solves.values() if stage < len(s.schedule)], stage, trusted, cfg)
     for i, solve in solves.items():
         results[i] = _report(solve)
 
@@ -859,18 +837,19 @@ def nesta_solve_batch(problems, smoothing=None, cfg=None):
     return results
 
 
-def nesta_solve(problem, smoothing=None, cfg=None):
+def nesta_solve(problem, known_support=(), cfg=None):
     """Solve one joint-sparse recovery problem with continuation.
 
-    The smoothing config supplies any trusted support; its mu is managed
-    by the continuation schedule, which runs CONTINUATION_STAGES geometric
-    steps from MU0_FACTOR times the data scale down to ``mu_final``; a
-    stage stops once the relative spread of its objective over the last
+    The rows of ``known_support`` (a SupportSet or any iterable of row
+    indices) are trusted, left out of the objective; mu is managed by the
+    continuation schedule, which runs CONTINUATION_STAGES geometric steps
+    from MU0_FACTOR times the data scale down to ``mu_final``; a stage
+    stops once the relative spread of its objective over the last
     STOP_WINDOW iterations drops below STOP_TOL. The returned estimate is
     the last gradient-mapped point y (always feasible). This is
     :func:`nesta_solve_batch` on a batch of one; its error is raised.
     """
-    (report,) = nesta_solve_batch([problem], smoothing, cfg)
+    (report,) = nesta_solve_batch([problem], known_support, cfg)
     if isinstance(report, Exception):
         raise report
     return report
@@ -899,7 +878,7 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
     stabilized = False
     report = None
     while outer < MAX_OUTER:
-        report = nesta_solve(problem, SmoothingConfig(known_support=support), cfg)
+        report = nesta_solve(problem, support, cfg)
         outer += 1
         total_inner += report.inner_iterations
         restarts += report.restarts

@@ -30,19 +30,16 @@ from .core import SupportSet, as_matrix, as_real, row_l2
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing parameter and trusted support rows. ``mu`` is read only by
-    ``nesta_step``, ``smoothed_objective`` and ``smoothed_gradient``; the
-    solvers set it by their continuation schedule."""
+    """Smoothing parameter and trusted rows, read by ``nesta_step`` and
+    ``smoothed_*`` only: the solvers set mu by their continuation schedule
+    and take the trusted rows as ``known_support``."""
 
     mu: float = 1.0
     known_support: SupportSet = SupportSet()
 
     def __post_init__(self):
         as_real(self.mu, "mu")
-        if not isinstance(self.known_support, SupportSet):
-            object.__setattr__(
-                self, "known_support", SupportSet.from_indices(self.known_support)
-            )
+        object.__setattr__(self, "known_support", SupportSet.from_indices(self.known_support))
 
 
 def trusted_rows(support, n_rows):

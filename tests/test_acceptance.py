@@ -338,9 +338,7 @@ def test_criterion_9_known_support_accelerates():
         inst = gen_instance(ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=seed))
         blind.append(nesta_solve(inst.problem).inner_iterations)
         half = SupportSet(tuple(inst.support_true)[:4])
-        seeded.append(
-            nesta_solve(inst.problem, SmoothingConfig(known_support=half)).inner_iterations
-        )
+        seeded.append(nesta_solve(inst.problem, half).inner_iterations)
     ok = np.median(seeded) < np.median(blind)
     _report(
         "9 known-support-acceleration",

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,32 @@ def test_readme_commands_parse_and_pass_the_solver_flag_rule():
         args = parser.parse_args(argv)  # exits on an unknown flag or value
         if args.command == "solve":
             cli.check_solver_flags(args)
+            cli.check_problem_source(args)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ("--spec case.txt --n 12 --seed 5 --noise 0.1", "--n, --noise, --seed; --spec"),
+        ("--load-matrix A.csv --load-data B.csv --spec case.txt --seed 3", "--seed; --spec; --"),
+        ("--n 8 --N 16 --L 2 --k 2 --load-matrix A.csv --load-data B.csv", "--k; --load-matrix"),
+        ("--spec case.txt --load-data B.csv", "--spec; --load-data"),
+    ],
+    ids=["spec-and-flags", "loaded-spec-and-flags", "flags-and-loaded", "spec-and-data"],
+)
+def test_solve_takes_its_problem_from_exactly_one_source(
+    args, named, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    inst = gen_instance(ProblemSpec(n=8, N=16, L=2, k=2, rank=2, seed=3))
+    write_matrix("A.csv", inst.problem.A.entries)
+    write_matrix("B.csv", inst.problem.B)
+    Path("case.txt").write_text("n = 8\nN = 16\nL = 2\nk = 2\nrank = 2\n")
+    assert main(["solve", *args.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solve takes its problem from one source")
+    assert named in captured.err
 
 
 def test_solve_loaded_matrices(tmp_path, capsys):
@@ -284,6 +311,23 @@ def test_spark_rejects_a_tolerance_outside_0_1(tmp_path, capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "rank_tol" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n\n", "a,b\n", "1,2\n3\n"], ids=["empty", "blank", "word", "ragged"]
+)
+def test_spark_on_a_csv_without_a_matrix_exits_2_naming_the_file_and_no_warning(
+    text, tmp_path, capsys
+):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spark", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: matrix from {path}")
+    assert captured.err.count("\n") == 1
 
 
 def test_spark_missing_file_exits_4(tmp_path, capsys):
@@ -345,6 +389,23 @@ def test_sweep_malformed_value_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'trials'" in err
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [("solvers = nesta, nesta", "solvers"), ("solvers = nesta\ngrid.k = 2, 2", "grid.k")],
+)
+def test_sweep_with_a_repeated_value_exits_2_before_any_output(lines, key, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n = 10\nN = 20\nL = 3\nk = 2\nrank = 2\nseed = 0\ntrials = 2\n"
+        f"{lines}\noutput = {tmp_path}/res.csv\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} repeats a value")
+    assert not (tmp_path / "res.csv").exists()
 
 
 def test_sweep_non_finite_success_threshold_exits_2(tmp_path, capsys):

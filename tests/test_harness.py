@@ -304,6 +304,17 @@ def test_sweep_config_validation():
         SweepConfig(base=base, solvers=("unknown",), trials=1, output="x.csv")
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [("solvers", ("nesta", "smv", "nesta")), ("grid_k", (2, 3, 2)), ("grid_n", (10, 10))],
+)
+def test_sweep_config_rejects_a_repeated_solver_or_grid_value(field, values):
+    # a repeat would run its cells twice under one aggregate row
+    kw = {"solvers": ("nesta",), field: values}
+    with pytest.raises(InvalidArgumentError, match=f"{field.replace('_', '.')} repeats a value"):
+        SweepConfig(base=small_spec(), trials=1, output="x.csv", **kw)
+
+
 @pytest.mark.parametrize("trials", [float("nan"), float("inf"), 2.5])
 def test_sweep_config_rejects_a_trial_count_that_is_no_integer(trials):
     with pytest.raises(InvalidArgumentError, match=f"trials .*got {trials!r}"):

@@ -172,9 +172,21 @@ def test_cached_step_matches_literal_transcription_past_refreshes():
         assert np.abs(state.y - y_ref).max() <= tol
         assert np.abs(state.z - z_ref).max() <= tol
         assert np.abs(state.alpha - alpha_ref).max() <= tol
-        assert state.trusted is not None and np.all(state.grad_accum[1] == 0.0)
+        assert np.all(state.grad_accum[1] == 0.0)
     assert state.k == steps
     assert np.abs(qz_ref).max() > 1e3
+
+
+def test_step_reads_the_trusted_rows_of_each_call():
+    # the state keeps no mask: a step given another support trusts exactly
+    # the rows of that support, which then gain no gradient
+    problem = fixed_problem()
+    state = nesta_step(initial_state(ALPHA0_FIXED), problem, SmoothingConfig(mu=0.5))
+    trusting = nesta_step(state, problem, SmoothingConfig(mu=0.5, known_support=(0, 2)))
+    assert np.array_equal(trusting.grad_accum[[0, 2]], state.grad_accum[[0, 2]])
+    assert not np.array_equal(trusting.grad_accum[1], state.grad_accum[1])
+    blind = nesta_step(trusting, problem, SmoothingConfig(mu=0.5))
+    assert not np.any(blind.grad_accum[[0, 2]] == trusting.grad_accum[[0, 2]])
 
 
 class CountingArray(np.ndarray):
@@ -226,7 +238,7 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
 
     else:
         # the batch stacks the three distinct operators into one array
-        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, sm)
+        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, None)
         batch.operators.stack = batch.operators.stack.view(CountingArray)
         state = initial_state(np.zeros((batch_size, 16, 2)))
 
@@ -258,7 +270,7 @@ def test_uncertified_step_makes_no_product_with_the_eigenvectors(batch_size):
             return nesta_step(state, problems[0], sm, projector=projectors[0])
 
     else:
-        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, sm)
+        batch, _ = _Batch.of(projectors, [sm.mu] * batch_size, None)
         state = initial_state(np.zeros((batch_size, 16, 2)))
 
         def step(state):
@@ -449,7 +461,7 @@ def test_known_support_masking_speeds_up_hard_instances():
         inst = gen_instance(ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=seed))
         blind = nesta_solve(inst.problem)
         half = SupportSet(tuple(inst.support_true)[:4])
-        seeded = nesta_solve(inst.problem, SmoothingConfig(known_support=half))
+        seeded = nesta_solve(inst.problem, half)
         iters_blind.append(blind.inner_iterations)
         iters_seeded.append(seeded.inner_iterations)
     assert np.median(iters_seeded) < np.median(iters_blind)
@@ -522,8 +534,8 @@ def test_iterative_nesta_sums_its_passes_restarts(monkeypatch):
     passes = []
     solve = nesta.nesta_solve
 
-    def spy(problem, smoothing=None, cfg=None):
-        passes.append(solve(problem, smoothing, cfg))
+    def spy(problem, known_support=(), cfg=None):
+        passes.append(solve(problem, known_support, cfg))
         return passes[-1]
 
     monkeypatch.setattr(nesta, "nesta_solve", spy)
@@ -542,9 +554,9 @@ def test_iterative_nesta_music_seed_trusts_best_scored_rows(monkeypatch):
     seeds = []
     solve = nesta.nesta_solve
 
-    def spy(problem, smoothing=None, cfg=None):
-        seeds.append(smoothing.known_support)
-        return solve(problem, smoothing, cfg)
+    def spy(problem, known_support=(), cfg=None):
+        seeds.append(known_support)
+        return solve(problem, known_support, cfg)
 
     monkeypatch.setattr(nesta, "nesta_solve", spy)
     iterative_nesta(inst.problem, 8, use_music=True)
@@ -642,11 +654,11 @@ def batch_problems():
 )
 def test_batch_solves_each_problem_bit_for_bit_as_alone(known_support, cfg):
     problems = batch_problems()
-    sm = SmoothingConfig(known_support=SupportSet(known_support))
-    batched = nesta_solve_batch(problems, sm, cfg)
+    support = SupportSet(known_support)
+    batched = nesta_solve_batch(problems, support, cfg)
     assert len(batched) == len(problems)
     for problem, report in zip(problems, batched):
-        alone = nesta_solve(problem, sm, cfg)
+        alone = nesta_solve(problem, support, cfg)
         assert np.array_equal(report.estimate, alone.estimate)
         assert report.stage_iterations == alone.stage_iterations
         assert np.array_equal(report.objective_trace, alone.objective_trace)
@@ -779,6 +791,24 @@ def test_batch_wall_time_is_a_share_in_proportion_to_iterations():
     batched = nesta_solve_batch(batch_problems()[:3])
     per_iteration = [r.wall_time / r.inner_iterations for r in batched]
     assert per_iteration == pytest.approx([per_iteration[0]] * 3, rel=1e-9)
+
+
+def test_solvers_take_the_trusted_rows_not_a_smoothing_config():
+    problem = batch_problems()[0]
+    with pytest.raises(InvalidArgumentError, match="support indices"):
+        nesta_solve(problem, SmoothingConfig(known_support=(2, 7)))
+    with pytest.raises(InvalidArgumentError, match="support indices"):
+        nesta_solve_batch([problem], SmoothingConfig())
+    # any iterable of row indices is the support it lists
+    assert_same_report(nesta_solve(problem, [7, 2]), nesta_solve(problem, SupportSet((2, 7))))
+
+
+def test_batch_rejects_an_out_of_range_support_before_any_setup(monkeypatch):
+    built = []
+    monkeypatch.setattr(nesta, "_build_projector", lambda *args: built.append(args))
+    with pytest.raises(InvalidArgumentError, match="out of range for 24 rows"):
+        nesta_solve_batch(batch_problems(), SupportSet((2, 24)))
+    assert built == []
 
 
 def test_batch_rejects_problems_of_different_shapes():

@@ -11,9 +11,12 @@ from mmvsolve import (
     IhtConfig,
     MmvProblem,
     NestaConfig,
+    NestaState,
     SmoothingConfig,
     SweepConfig,
     iterative_nesta,
+    nesta_solve,
+    nesta_solve_batch,
     nesta_step,
     project_feasible,
     run_trial,
@@ -34,6 +37,19 @@ def test_config_fields():
     assert field_names(IhtConfig) == ["k", "max_iters", "adaptive_step"]
     assert field_names(SmoothingConfig) == ["mu", "known_support"]
     assert field_names(MmvProblem) == ["A", "B", "epsilon"]
+    assert field_names(NestaState) == [
+        "k",
+        "alpha",
+        "y",
+        "z",
+        "prox_center",
+        "grad_accum",
+        "objective_trace",
+        "phi_alpha",
+        "phi_prox",
+        "phi_accum",
+        "iteration",
+    ]
     assert field_names(SweepConfig) == [
         "base",
         "solvers",
@@ -49,6 +65,8 @@ def test_call_parameters():
     assert parameters(run_trial) == ["spec", "solver"]
     assert parameters(solve_problems) == ["solver", "problems", "k", "cfg", "use_music"]
     assert parameters(nesta_step) == ["state", "problem", "smoothing", "projector", "batch"]
+    assert parameters(nesta_solve) == ["problem", "known_support", "cfg"]
+    assert parameters(nesta_solve_batch) == ["problems", "known_support", "cfg"]
     assert parameters(project_feasible) == ["q", "problem"]
     assert parameters(iterative_nesta) == ["problem", "k", "cfg", "use_music"]
 

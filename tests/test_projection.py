@@ -7,7 +7,6 @@ from mmvsolve import (
     InvalidArgumentError,
     MeasurementMatrix,
     MmvProblem,
-    SmoothingConfig,
     project_feasible,
 )
 from mmvsolve import nesta
@@ -130,7 +129,7 @@ def test_project_images_leaves_feasible_points_alone():
     q = rng.standard_normal((8, 2))
     image = proj.operator @ q
     assert proj.basis_correction(image - proj.data) is None
-    batch, _ = nesta._Batch.of([proj], [0.1], SmoothingConfig(mu=0.1))
+    batch, _ = nesta._Batch.of([proj], [0.1], None)
     points = [q[None].copy(), q[None].copy()]
     images = [image[None].copy(), image[None].copy()]
     batch.project(points, images)
