@@ -372,20 +372,6 @@ def hard_threshold_rows(X, k):
     return out, SupportSet._of_sorted(keep)
 
 
-def lstsq_rows(phi, B, rows):
-    """Least-squares coefficients on the columns ``rows`` of phi, zero elsewhere.
-
-    Returns the N x L matrix whose rows ``rows`` are
-    ``lstsq(phi[:, rows], B)``, and the rank (below ``len(rows)`` when the
-    fit is not unique) and largest singular value that lstsq reports for
-    ``phi[:, rows]``.
-    """
-    alpha = np.zeros((phi.shape[1], B.shape[1]))
-    coef, _, rank, sv = np.linalg.lstsq(phi[:, rows], B, rcond=None)
-    alpha[rows] = coef
-    return alpha, int(rank), float(sv[0]) if sv.size else 0.0
-
-
 def row_support(X, tol=0.0):
     """Indices of rows whose l2 norm exceeds tol, ascending."""
     tol = as_real(tol, "tol", zero_ok=True)

@@ -11,22 +11,20 @@ of that stability threshold, with ||phi||_2 exact for a certified operator
 (phi phi^T = c I) and a Lanczos estimate (``spectral_norm``) otherwise;
 the optional adaptive mode uses the normalized rule (exact step on the
 current support, halved until a support change passes the usual
-acceptance test). A fixed-step iteration makes one dense product phi^T r,
-one ``hard_threshold_rows`` call and the residual on the k kept columns,
-B - phi[:, rows] alpha[rows], since alpha is zero off them.
+acceptance test). Every step set by ||phi||_2 takes it from
+``_squared_norm``, which checks its range. A fixed-step iteration makes
+one dense product phi^T r, one ``hard_threshold_rows`` call and the
+residual on the k kept columns, B - phi[:, rows] alpha[rows].
 
 A fixed-step iteration tries a certified least-squares finish (the
 debiasing step of Hard Thresholding Pursuit; Foucart, SIAM J. Numer. Anal.
-2011) at its start and once its kept rows S have stayed the same for
-SETTLED_ITERS iterations: it fits alpha* = lstsq(phi_S, B) and bounds
+2011) once its kept rows S have stayed the same for SETTLED_ITERS
+iterations; a MUSIC start, its own fit, counts as settled. A try fits
+alpha* = lstsq(phi_S, B) (``_SupportFit``, once per support) and bounds
 every later iterate of the plain loop. If the bound proves that H_k keeps
 S forever, alpha* is the plain loop's limit, and the solve ends at the
 plain step from alpha*, which the proof lets take without a new product
-or threshold; otherwise it goes on exactly as before. Each support is
-fitted once, and a retry on unchanged rows reuses the fit and the bound's
-products. The start try needs only an upper bound on the step, from a
-few Lanczos steps: the full ``spectral_norm`` runs only when the start is
-not certified.
+or threshold; otherwise it goes on exactly as before.
 
 The iteration starts from the MUSIC support estimate with least-squares
 coefficients on it (subspace-augmented thresholding; Kim, Lee & Ye,
@@ -39,6 +37,7 @@ gradient row outgrows the kept rows, so no step leaves it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -48,8 +47,8 @@ from .core import (
     InvalidArgumentError,
     as_count,
     as_matrix,
+    as_real,
     hard_threshold_rows,
-    lstsq_rows,
     row_l2,
 )
 from .music import music_support
@@ -62,9 +61,10 @@ _ADAPTIVE_C = 0.01
 # ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below this.
 STOP_TOL = 1e-8
 
-# A fixed-step iteration tries the certified least-squares finish at a MUSIC
-# start and once its kept rows have stayed the same for this many
-# consecutive iterations; math.inf turns the finish off, the start try too.
+# A fixed-step iteration tries the certified least-squares finish once its
+# kept rows have stayed the same for this many consecutive iterations. A
+# MUSIC start counts as settled, so the loop's settled test makes the start
+# try too; math.inf turns every try off, the start's included.
 SETTLED_ITERS = 5
 
 # Lanczos steps of the step bound for the start try (see iht_solve).
@@ -85,14 +85,10 @@ _INVARIANT = 1e-12
 class IhtConfig:
     """Target row sparsity, iteration cap, and step rule.
 
-    The step is not an option. The fixed step is 0.98 / ||phi||_2^2, with
-    ||phi||_2 = sqrt(c) exactly when phi phi^T = c I is certified and the
-    Lanczos estimate ``spectral_norm`` otherwise; ``adaptive_step`` swaps
-    it for the normalized rule, which chooses every step itself.
-    Iteration stops once the relative iterate change
-    ||alpha' - alpha||_F / max(1, ||alpha||_F) falls below STOP_TOL, or at
-    ``max_iters``. A fixed-step iteration also stops at an accepted
-    certified least-squares finish (see ``iht_solve``).
+    The step is not an option: the fixed step is 0.98 / ||phi||_2^2, and
+    ``adaptive_step`` swaps it for the normalized rule, which chooses every
+    step itself. Iteration stops at STOP_TOL, at ``max_iters`` or, with the
+    fixed step, at an accepted certified finish (see ``iht_solve``).
     """
 
     k: int
@@ -124,9 +120,12 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
     the recurrence restarts from the largest-norm column of M (row, if M
     is tall), which G never maps to 0. An M that is no nonempty 2-D array
     of numbers, or one with a nan or infinite entry (which always puts
-    |M^T v| out of that range), raises InvalidArgumentError.
+    |M^T v| out of that range), raises InvalidArgumentError, as do a
+    ``max_iters`` below 1 or not whole and a ``tol`` below 0 or not finite.
     """
     M = as_matrix(M, finite=False)
+    max_iters = as_count(max_iters, "max_iters")
+    tol = as_real(tol, "tol", zero_ok=True)
     if M.shape[0] > M.shape[1]:
         M = M.T
     # G x = M (M^T x); x @ M forms M^T x without numpy's slower M.T @ x path
@@ -172,7 +171,6 @@ def spectral_norm(M, max_iters=50, tol=1e-10):
         T[j, j - 1] = beta
         v_prev, v = v, w / beta
         np.dot(v, M, out=u)
-    return 0.0
 
 
 def _threshold(X, k):
@@ -202,29 +200,32 @@ def _normalized_step(phi, alpha, grad, rows, k):
     return candidate, cand_support, cand_rows
 
 
-def _operator_norm(problem):
-    """||phi||_2: sqrt(c) when phi phi^T = c I is certified, else a Lanczos estimate."""
+def _squared_norm(problem, steps=None):
+    """||phi||_2^2: c when phi phi^T = c I is certified, else the square of
+    ``spectral_norm``, or of its top Ritz value after ``steps`` Lanczos
+    steps (a lower bound). Raises InvalidArgumentError unless the square is
+    a positive normal float, so that every step over it is finite."""
     A = problem.A
-    return math.sqrt(A.row_gram_scale) if A.row_orthonormal else spectral_norm(problem.phi)
-
-
-def _fixed_step(problem):
-    """The fixed step 0.98 / ||phi||_2^2, once ||phi||_2^2 is checked to be
-    positive and finite."""
-    op_norm = _operator_norm(problem)
-    if not 0.0 < op_norm * op_norm < math.inf:
+    if A.row_orthonormal:
+        op_norm = math.sqrt(A.row_gram_scale)
+    elif steps is None:
+        op_norm = spectral_norm(problem.phi)
+    else:
+        op_norm = spectral_norm(problem.phi, steps, 0.0)
+    if not sys.float_info.min <= op_norm * op_norm < math.inf:
         raise InvalidArgumentError(
             f"||phi||_2 = {op_norm:g} is out of range: its square bounds the step"
         )
-    return 0.98 / op_norm**2
+    return op_norm**2
 
 
 class _SupportFit:
-    """The least-squares fit on one support S, formed once per support.
+    """The package's one least-squares fit on a support S, formed once per S.
 
     ``fit`` is alpha* = lstsq(phi_S, B) on S = ``rows`` and zero elsewhere;
-    ``rank`` and ``norm`` are what lstsq reports for phi_S, and ``kept``
-    the row norms of alpha*_S. ``resid`` is r* = B - phi alpha* as the
+    ``rank`` (below ``rows.size`` when the fit is not unique) and ``norm``
+    (the largest singular value) are lstsq's for phi_S, and ``kept`` the
+    row norms of alpha*_S. ``resid`` is r* = B - phi alpha* as the
     iteration forms it: the dense product at the MUSIC start (which is
     alpha*, so ``iht_solve`` sets it there), on the kept columns otherwise.
     The certificate's products are formed by the first try that needs
@@ -235,7 +236,11 @@ class _SupportFit:
 
     def __init__(self, phi, B, rows):
         self.rows = rows
-        self.fit, self.rank, self.norm = lstsq_rows(phi, B, rows)
+        coef, _, rank, sv = np.linalg.lstsq(phi[:, rows], B, rcond=None)
+        self.fit = np.zeros((phi.shape[1], B.shape[1]))
+        self.fit[rows] = coef
+        self.rank = int(rank)
+        self.norm = float(sv[0]) if sv.size else 0.0
         self.kept = row_l2(self.fit[rows])
         self.resid = self.grad = self.grad_norm = self.cross_norm = None
 
@@ -323,24 +328,28 @@ def iht_solve(problem, cfg):
     or at ``cfg.max_iters``. With a fixed step, the iteration tries the
     certified least-squares finish (``_certified_fit``): alpha* =
     lstsq(phi_S, B), accepted only if a bound proves that the plain
-    iteration never leaves S (so alpha* is its limit). It tries at the
-    MUSIC start, which is alpha* on its own support (e = 0), and then
-    whenever the kept rows S have stayed the same for SETTLED_ITERS
-    iterations. An accepted try ends the solve one plain step past alpha*,
-    a step that the proof lets take without a product or a threshold; a
-    rejected try leaves the iteration as it was, and the count starts
-    again. The fit and the bound's products are formed once per support,
+    iteration never leaves S (so alpha* is its limit). One test at the top
+    of the loop makes every try: once the kept rows S have stayed the same
+    for SETTLED_ITERS iterations, and first at a MUSIC start, which is
+    alpha* on its own rows (e = 0) and counts as settled. An accepted try
+    ends the solve one plain step past alpha*, a step that the proof lets
+    take without a product or a threshold; a rejected try leaves the
+    iteration as it was, and the count starts again. The fit and the bound's products are formed once per support,
     the start's fit included: a retry on unchanged rows reuses them. The
     adaptive rule never tries the finish.
 
-    The start try on an uncertified operator needs no ||phi||_2. It is
-    made at the step bound 0.98 / rho, with rho the top Ritz value of
-    _BOUND_STEPS Lanczos steps (``spectral_norm`` with tol 0, squared). A
-    Ritz value never exceeds ||phi||_2^2, so the bound is at least the
-    fixed step, and a proof at the bound holds at that step; the finish
-    then steps at the bound. Only when the start is not certified (or rho
-    is 0 or not finite) does the full ``spectral_norm`` run, and the
-    iteration goes on at its usual step.
+    Every step comes from ``_squared_norm``: the start try's bound
+    0.98 / rho, with rho the top Ritz value of _BOUND_STEPS Lanczos steps
+    squared, the fixed step, and the adaptive rule's 1 / ||phi||_2^2 at
+    the thresholded-correlation start. rho never exceeds ||phi||_2^2, so a
+    proof at the bound holds at the fixed step; the finish then steps at
+    the bound, and only an uncertified start runs the full
+    ``spectral_norm``, before the first iteration. A square that overflows
+    or falls below the smallest normal float, where a step over it
+    overflows, raises InvalidArgumentError ("||phi||_2 = ... is out of
+    range"); the fixed rule checks the bound before MUSIC runs. A bound
+    that overflows means a norm that overflows; one that underflows may
+    reject a norm just above ~1.5e-154 whose square is in range.
 
     The report's objective trace holds the data residual ||B - phi alpha||_F
     at the start, after each iteration and, when a try is accepted, at the
@@ -362,57 +371,54 @@ def iht_solve(problem, cfg):
     as_count(cfg.k, "k", below=problem.N)
     if not np.any(phi):
         raise InvalidArgumentError("measurement operator is zero")
-    # the fixed step of an uncertified operator waits: the start try needs
-    # only the bound try_step, and a certified start needs no step at all
-    step = try_step = None  # both stay None for the adaptive rule
-    if not cfg.adaptive_step:
-        if not problem.A.row_orthonormal:
-            rho = spectral_norm(phi, _BOUND_STEPS, 0.0) ** 2
-            if 0.0 < rho < math.inf:
-                try_step = 0.98 / rho
-        if try_step is None:
-            step = try_step = _fixed_step(problem)
+    # the fixed rule checks ||phi||_2 here, before MUSIC, through the bound
+    # of the start try; its fixed step waits for the first iteration
+    try_step = None if cfg.adaptive_step else 0.98 / _squared_norm(problem, _BOUND_STEPS)
+    step = None
 
     music = music_support(problem, cfg.k)
     fitted = None
+    settled = 0  # fixed-step iterations in a row that kept the same rows
     if 0 < music.rank < problem.n:
         support = music.support
         fitted = _SupportFit(phi, B, support.as_array())
         alpha = fitted.fit
+        if try_step is not None:
+            settled = SETTLED_ITERS  # the start is its own fit: try it first
     else:
         # MUSIC tells no columns apart at a signal rank of 0 (zero data) or
-        # of n (every column lies in the signal subspace)
-        if step is None and not cfg.adaptive_step:
-            step = _fixed_step(problem)
-        init_step = 1.0 / _operator_norm(problem) ** 2 if cfg.adaptive_step else step
-        alpha, support = hard_threshold_rows(init_step * (phi.T @ B), cfg.k)
+        # of n (every column lies in the signal subspace); for the fixed
+        # rule this step is the fixed step
+        step = (1.0 if cfg.adaptive_step else 0.98) / _squared_norm(problem)
+        alpha, support = hard_threshold_rows(step * (phi.T @ B), cfg.k)
     rows = support.as_array()
     resid = B - phi @ alpha
-    trace = [float(np.linalg.norm(resid))]
-    finish = None
-    if fitted is not None and try_step is not None and SETTLED_ITERS < math.inf:
-        # the MUSIC start is alpha* on its rows: try the finish there, e = 0
+    if fitted is not None:
         fitted.resid = resid
-        finish = _certified_fit(phi, B, alpha, fitted, try_step)
-    if finish is None and step is None and not cfg.adaptive_step:
-        step = _fixed_step(problem)
+    trace = [float(np.linalg.norm(resid))]
 
     iterations = 0
     converged = False
-    settled = 0  # fixed-step iterations in a row that kept the same rows
-    while finish is None and not converged and iterations < cfg.max_iters:
-        if settled >= SETTLED_ITERS:
+    while not converged and iterations < cfg.max_iters:
+        if settled >= SETTLED_ITERS < math.inf:  # math.inf makes no try
             settled = 0
             if fitted is None or not np.array_equal(fitted.rows, rows):
                 fitted = _SupportFit(phi, B, rows)
-            finish = _certified_fit(phi, B, alpha, fitted, step)
+            finish = _certified_fit(phi, B, alpha, fitted, try_step if step is None else step)
             if finish is not None:
+                # the finish keeps the rows of the accepted try
+                alpha = finish
+                resid = B - phi[:, rows] @ alpha[rows]
+                trace.append(float(np.linalg.norm(resid)))
+                converged = True
                 break
         iterations += 1
         grad = phi.T @ resid
         if cfg.adaptive_step:
             new_alpha, support, rows = _normalized_step(phi, alpha, grad, rows, cfg.k)
         else:
+            if step is None:
+                step = 0.98 / _squared_norm(problem)
             new_alpha, support, new_rows = _threshold(alpha + step * grad, cfg.k)
             settled = settled + 1 if np.array_equal(new_rows, rows) else 0
             rows = new_rows
@@ -424,12 +430,6 @@ def iht_solve(problem, cfg):
         resid = B - phi[:, rows] @ alpha[rows]
         trace.append(float(np.linalg.norm(resid)))
         converged = change < STOP_TOL
-    if finish is not None:
-        # the finish keeps the rows of the accepted try
-        alpha = finish
-        resid = B - phi[:, rows] @ alpha[rows]
-        trace.append(float(np.linalg.norm(resid)))
-        converged = True
 
     return RecoveryReport(
         estimate=alpha,

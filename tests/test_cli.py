@@ -296,6 +296,44 @@ def test_solve_loaded_requires_k_for_iht(tmp_path, capsys):
     capsys.readouterr()
 
 
+def inconsistent_pair(tmp_path):
+    # rows e0, e1, e0 of a 3x5 operator: B's first and last entries must
+    # agree for an exact fit, and 1 and 5 do not
+    A = np.zeros((3, 5))
+    A[0, 0] = A[1, 1] = A[2, 0] = 1.0
+    a_path, b_path = tmp_path / "A.csv", tmp_path / "B.csv"
+    write_matrix(a_path, A)
+    write_matrix(b_path, np.array([[1.0], [2.0], [5.0]]))
+    return ["--load-matrix", str(a_path), "--load-data", str(b_path)]
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (None, "exact consistency demanded but the data has components outside the range"),
+        ("0.5", "feasible set is empty: best attainable residual 2.82843 exceeds eps = 0.5"),
+    ],
+    ids=["exact", "eps"],
+)
+def test_solve_infeasible_loaded_problem_exits_3(eps, message, tmp_path, capsys):
+    flags = [] if eps is None else ["--eps", eps]
+    assert main(["solve", *inconsistent_pair(tmp_path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "given, missing", [(0, "--load-data"), (2, "--load-matrix")], ids=["matrix-only", "data-only"]
+)
+def test_solve_loaded_flag_without_its_pair_exits_2(given, missing, tmp_path, capsys):
+    flags = inconsistent_pair(tmp_path)[given : given + 2]
+    assert main(["solve", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} requires {missing}\n"
+
+
 def test_spark_subcommand(tmp_path, capsys):
     path = tmp_path / "m.csv"
     write_matrix(path, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))

@@ -9,7 +9,9 @@ from conftest import assert_same_report, csv_without_wall_time
 
 from mmvsolve import (
     SOLVERS,
+    InfeasibleProblemError,
     InvalidArgumentError,
+    MeasurementMatrix,
     MmvProblem,
     ProblemSpec,
     SweepConfig,
@@ -21,7 +23,14 @@ from mmvsolve import (
     solve_smv_per_column,
 )
 from mmvsolve import harness
-from mmvsolve.harness import AGGREGATE_MARKER, RESULT_HEADER, _trial_row, solve_smv_batch
+from mmvsolve.harness import (
+    AGGREGATE_MARKER,
+    RESULT_HEADER,
+    _trial_row,
+    score_trial,
+    solve_problems,
+    solve_smv_batch,
+)
 
 
 def small_spec(**kw):
@@ -46,6 +55,36 @@ def test_run_trial_metrics_perfect_and_zero():
 def test_run_trial_rejects_unknown_solver():
     with pytest.raises(InvalidArgumentError):
         run_trial(small_spec(), "omp")
+
+
+def test_iht_error_is_returned_in_its_slot_and_scored_as_a_failure():
+    zero = MmvProblem(A=MeasurementMatrix(np.zeros((10, 20))), B=np.ones((10, 3)))
+    inst = gen_instance(small_spec())
+    error, report = solve_problems("iht", [zero, inst.problem], 2)
+    assert isinstance(error, InvalidArgumentError)
+    assert report.detected_support == inst.support_true
+    scored = score_trial("iht", inst, error)
+    assert scored.relative_error == float("inf")
+    assert not scored.support_exact and not scored.success
+    assert scored.wall_time == 0.0
+    assert scored.error == "measurement operator is zero"
+
+
+def infeasible_problem():
+    # rows e0, e1, e0: an exact fit needs B's first and last entries equal
+    A = np.zeros((3, 5))
+    A[0, 0] = A[1, 1] = A[2, 0] = 1.0
+    return MmvProblem(A=MeasurementMatrix(A), B=np.array([[1.0], [2.0], [5.0]]))
+
+
+def test_infeasible_problem_is_returned_by_the_solvers_and_raised_alone():
+    problem = infeasible_problem()
+    (error,) = solve_problems("iterative-nesta", [problem], 2)
+    assert isinstance(error, InfeasibleProblemError)
+    (error,) = solve_smv_batch([problem])
+    assert isinstance(error, InfeasibleProblemError)
+    with pytest.raises(InfeasibleProblemError, match="exact consistency demanded"):
+        solve_smv_per_column(problem)
 
 
 def test_run_trial_is_deterministic_except_timing():
@@ -302,6 +341,11 @@ def test_sweep_config_validation():
         SweepConfig(base=base, solvers=("nesta",), trials=0, output="x.csv")
     with pytest.raises(InvalidArgumentError):
         SweepConfig(base=base, solvers=("unknown",), trials=1, output="x.csv")
+
+
+def test_sweep_config_requires_a_solver():
+    with pytest.raises(InvalidArgumentError, match="at least one solver is required"):
+        SweepConfig(base=small_spec(), solvers=(), trials=1, output="x.csv")
 
 
 @pytest.mark.parametrize(

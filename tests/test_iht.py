@@ -341,6 +341,37 @@ def test_spectral_norm_restarts_off_a_null_space_start():
         assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+def test_spectral_norm_restarts_when_scaled_columns_cancel_exactly(shape):
+    # every column sums to 0, so |M^T v| = 0 lies outside (1e-50, 1e50) for
+    # the uniform start v; after M is divided by its largest entry, x + (-x)
+    # still cancels exactly, and only the restart off the largest column
+    # finds the norm (rows that sum to 0 leave round-off there instead)
+    M = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])
+    M = M if shape == (2, 3) else M.T
+    assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+    assert np.linalg.norm(M, 2) == pytest.approx(math.sqrt(28.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((0,), "max_iters must be a positive integer, got 0"),
+        ((-3,), "max_iters must be a positive integer, got -3"),
+        ((2.5,), "max_iters must be a positive integer, got 2.5"),
+        ((math.nan,), "max_iters must be a positive integer, got nan"),
+        (("8",), "max_iters must be a positive integer, got '8'"),
+        ((8, math.nan), "tol must be finite and nonnegative, got nan"),
+        ((8, -1.0), "tol must be finite and nonnegative, got -1.0"),
+    ],
+    ids=["cap-0", "cap-negative", "cap-2.5", "cap-nan", "cap-str", "tol-nan", "tol-negative"],
+)
+def test_spectral_norm_rejects_a_bad_step_cap_or_tolerance(args, match):
+    M = np.random.default_rng(4).standard_normal((5, 9))
+    with pytest.raises(InvalidArgumentError, match=match):
+        spectral_norm(M, *args)
+
+
 def spectral_norm_cases():
     # 50 power steps were 0.86% low on the first and up to 0.66% low on the
     # benchmark's iht_gaussian operators
@@ -395,12 +426,12 @@ def test_spectral_norm_follows_the_scale_of_the_operator():
         assert spectral_norm(c * M) / c == pytest.approx(base, rel=1e-12)
 
 
-def scaled_problem(scale):
+def scaled_problem(scale, operator=MeasurementMatrix.from_entries):
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((20, 50))
     X = np.zeros((50, 2))
     X[[3, 9]] = rng.standard_normal((2, 2))
-    A = MeasurementMatrix.from_entries(scale * phi)
+    A = operator(scale * phi)
     return MmvProblem(A=A, B=scale * (phi @ X), epsilon=0.0)
 
 
@@ -415,6 +446,42 @@ def test_fixed_step_solves_at_extreme_operator_scales(scale):
 def test_fixed_step_rejects_an_operator_whose_squared_norm_underflows():
     with pytest.raises(InvalidArgumentError, match="out of range"):
         iht_solve(scaled_problem(1e-200), IhtConfig(k=2))
+
+
+def scaled_music_problem(scale):
+    # MeasurementMatrix skips the certificate, whose Gram product overflows
+    return scaled_problem(scale, MeasurementMatrix)
+
+
+def scaled_rank_n_problem(scale):
+    # rank = n = 4: MUSIC tells no columns apart, so the start thresholds
+    # the correlation at a step of 1 (adaptive) or 0.98 over ||phi||_2^2
+    problem = gen_instance(
+        ProblemSpec(n=4, N=10, L=4, k=4, rank=4, matrix_kind="gaussian", seed=0)
+    ).problem
+    return MmvProblem(A=MeasurementMatrix(scale * problem.phi), B=scale * problem.B, epsilon=0.0)
+
+
+# at 1e-156 ||phi||_2^2 is subnormal and a step over it overflows to inf;
+# at 1e160 and 1e200 the square itself overflows
+@pytest.mark.parametrize("scale", [1e-156, 1e160, 1e200])
+@pytest.mark.parametrize(
+    "make, k", [(scaled_music_problem, 2), (scaled_rank_n_problem, 4)], ids=["music", "rank-n"]
+)
+def test_fixed_step_rejects_an_operator_whose_squared_norm_is_out_of_range(make, k, scale):
+    # the check comes before MUSIC, whose scores would warn at these scales
+    problem = make(1.0)
+    assert (0 < music_support(problem, k).rank < problem.n) == (make is scaled_music_problem)
+    with pytest.raises(InvalidArgumentError, match="out of range: its square bounds the step"):
+        iht_solve(make(scale), IhtConfig(k=k))
+
+
+# the adaptive rule runs MUSIC first, which warns of column norms that underflow
+@pytest.mark.filterwarnings("ignore:.*zero dictionary column:UserWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e-156])
+def test_adaptive_start_rejects_an_operator_whose_squared_norm_is_out_of_range(scale):
+    with pytest.raises(InvalidArgumentError, match="out of range: its square bounds the step"):
+        iht_solve(scaled_rank_n_problem(scale), IhtConfig(k=4, adaptive_step=True))
 
 
 def test_iht_solves_on_a_row_centred_operator():
@@ -562,6 +629,35 @@ def test_rejected_tries_leave_the_plain_trajectory(monkeypatch):
         assert_same_report(iht_solve(problem, cfg), without_finish(monkeypatch, problem, cfg))
 
 
+def exact_support_problem():
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal((12, 30))
+    rows = np.array([2, 5, 11])
+    X = np.zeros((30, 2))
+    X[rows] = rng.standard_normal((3, 2)) + 2.0
+    return phi, rows, X
+
+
+def test_certificate_refuses_a_rank_deficient_support():
+    phi, rows, X = exact_support_problem()
+    phi[:, 11] = phi[:, 5]  # two identical columns on the support
+    B = phi @ X
+    fitted = iht._SupportFit(phi, B, rows)
+    assert fitted.rank == 2
+    assert iht._certified_fit(phi, B, fitted.fit, fitted, 0.5 / fitted.norm**2) is None
+
+
+def test_certificate_refuses_a_step_that_does_not_contract_on_the_support():
+    phi, rows, X = exact_support_problem()
+    B = phi @ X
+    fitted = iht._SupportFit(phi, B, rows)
+    # at the fit itself on exact data the off-support bound is round-off,
+    # so a stable step is accepted and only the step test refuses; at
+    # 2 / ||phi_S||^2 the product rounds below the bar 2, hence 2.5
+    assert iht._certified_fit(phi, B, fitted.fit, fitted, 0.5 / fitted.norm**2) is not None
+    assert iht._certified_fit(phi, B, fitted.fit, fitted, 2.5 / fitted.norm**2) is None
+
+
 # Seeds of the iht_gaussian pool whose MUSIC start is certified: those
 # solves stop at the start, with no ||phi||_2 but the 8-step bound.
 CERTIFIED_STARTS = [1, 2, 3, 4, 5, 9, 10, 11, 12, 17, 18, 20, 21, 22, 24, 27, 28, 29, 30, 31]
@@ -587,7 +683,7 @@ def test_certified_start_finishes_at_its_fit_without_the_norm(monkeypatch):
     assert calls == [(8, 0.0)]  # the bound only: no full-accuracy norm
     music = music_support(problem, 20)
     rows = music.support.as_array()
-    fit = iht.lstsq_rows(phi, B, rows)[0]
+    fit = iht._SupportFit(phi, B, rows).fit
     assert report.inner_iterations == 0 and report.converged
     assert report.detected_support == music.support
     # the finish is the plain step from the fit at the bound's step, which
@@ -614,12 +710,12 @@ def test_certified_starts_of_the_pool():
 def test_each_support_is_fitted_once(monkeypatch):
     fits, accepted = [], finish_tries(monkeypatch)
 
-    def recording(phi, B, rows):
-        fits.append(tuple(rows))
-        return original(phi, B, rows)
+    class Recording(iht._SupportFit):
+        def __init__(self, phi, B, rows):
+            fits.append(tuple(rows))
+            super().__init__(phi, B, rows)
 
-    original = iht.lstsq_rows
-    monkeypatch.setattr(iht, "lstsq_rows", recording)
+    monkeypatch.setattr(iht, "_SupportFit", Recording)
     problem = gen_instance(replace(POOL_SPEC, seed=14)).problem
     report = iht_solve(problem, IhtConfig(k=20))
     # the start try, then one rejected retry after another on one settled

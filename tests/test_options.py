@@ -14,12 +14,14 @@ from mmvsolve import (
     NestaState,
     SmoothingConfig,
     SweepConfig,
+    iht_solve,
     iterative_nesta,
     nesta_solve,
     nesta_solve_batch,
     nesta_step,
     project_feasible,
     run_trial,
+    spectral_norm,
 )
 from mmvsolve.harness import solve_problems
 
@@ -69,6 +71,12 @@ def test_call_parameters():
     assert parameters(nesta_solve_batch) == ["problems", "known_support", "cfg"]
     assert parameters(project_feasible) == ["q", "problem"]
     assert parameters(iterative_nesta) == ["problem", "k", "cfg", "use_music"]
+
+
+def test_iht_calls_take_no_step_knob():
+    # every step comes from ||phi||_2^2; a step or norm argument is a new knob
+    assert parameters(iht_solve) == ["problem", "cfg"]
+    assert parameters(spectral_norm) == ["M", "max_iters", "tol"]
 
 
 def test_radius_lives_only_on_the_problem():
