@@ -116,7 +116,7 @@ def _column_problems(problem):
 def _stacked_columns(problem, reports):
     """The per-channel report of ``problem`` from its column reports, or the
     first column's error. Its final objective and restarts are the sums of
-    the columns'."""
+    the columns', and its stage iterations theirs in column order."""
     for report in reports:
         if isinstance(report, Exception):
             return report
@@ -131,6 +131,7 @@ def _stacked_columns(problem, reports):
         objective_trace=np.concatenate([r.objective_trace for r in reports]),
         wall_time=sum(r.wall_time for r in reports),
         converged=all(r.converged for r in reports),
+        stage_iterations=[s for r in reports for s in r.stage_iterations],
         restarts=sum(r.restarts for r in reports),
     )
 

@@ -28,6 +28,9 @@ MUSIC_DELTA = 1e-8
 # sqrt(1 - ratio) is off by ~1e-16 / (2 score), ~1e-8 near 0.
 _CANCELLATION_CUTOFF = 0.1
 
+# Squared column norms all below this have lost digits to underflow.
+_SQUARE_FLOOR = 1e-290
+
 
 @dataclass(frozen=True)
 class MusicResult:
@@ -44,6 +47,9 @@ def estimate_rank(B, delta):
 
 def _subspace_scores(phi, Us):
     col_sq = np.einsum("ij,ij->j", phi, phi)
+    if not _SQUARE_FLOOR <= col_sq.max() < np.inf and phi.any():
+        phi = phi / np.abs(phi).max()
+        col_sq = np.einsum("ij,ij->j", phi, phi)
     zero_cols = col_sq == 0
     if zero_cols.any():
         warnings.warn(
@@ -70,7 +76,8 @@ def music_scores(problem, r):
     score nears 0, so a column whose score falls below
     _CANCELLATION_CUTOFF (0.1) is rescored from its residual
     phi_j - U_s (U_s^T phi_j); every score is then within ~1e-14 of the
-    residual's. Zero columns cannot be scored and get score 1.
+    residual's. Zero columns cannot be scored and get score 1. A phi whose
+    squared column norms overflow or underflow is scored over its peak.
     """
     r = as_count(r, "subspace dimension r", below=min(problem.n, problem.L) + 1)
     U = np.linalg.svd(problem.B, full_matrices=False)[0]

@@ -38,15 +38,12 @@ the projected images need no product at all. The tracked images are
 recomputed exactly at each stage start and every REFRESH_EVERY iterations.
 Inputs are validated and the trusted-row mask is built once per solve call.
 
-All of this runs in the projector's basis of the data space. For a
-certified operator (phi phi^T = c I) that is the given basis. Otherwise it
-is the eigenbasis V of G = V diag(d) V^T, taken once per distinct operator:
-the data is rotated once to V^T B and the operator to V^T phi, which
-leaves the ball unchanged because V is orthogonal, and there the Gram
-matrix is diag(d), so the projection is elementwise. The step then makes
-its two products with V^T phi and none with V; V only rotates the
-residual of a point the projector is called on, and the report's
-residual is computed with phi and B themselves.
+All of this runs in the projector's basis of the data space: the given
+one for a certified operator (phi phi^T = c I), else the eigenbasis V of
+G, taken once per distinct operator, in which the projection is
+elementwise (``FeasibilityProjector``). The step makes its two products
+with V^T phi and none with V, and the report's residual is computed with
+phi and B themselves.
 
 The iteration runs on arrays with a leading problem axis, so problems of
 one shape are solved together (``nesta_solve_batch``): each product with
@@ -61,7 +58,7 @@ of its iterations is one ``nesta_step`` call on the stacked state.
 ``iterative_nesta`` alternates full solves with hard thresholding: the k
 strongest rows of each estimate become trusted (unpenalized) in the next
 solve, for at most MAX_OUTER solves. Its first solve trusts no row, or
-with MUSIC the min(rank, k) best-scored rows of ``music_support``.
+with MUSIC at rank < n the min(rank, k) best-scored rows of ``music_support``.
 """
 
 from __future__ import annotations
@@ -220,7 +217,10 @@ class _Eigenbasis:
 
 
 class FeasibilityProjector:
-    """Euclidean projection onto {alpha : ||phi alpha - B||_F <= eps}.
+    """Euclidean projection onto the ball {alpha : ||phi alpha - B||_F <= eps}.
+
+    phi, B, eps and the certificate c are the problem's (``problem.phi``,
+    ``B``, ``epsilon`` and ``A``), so a projector cannot disagree with it.
 
     Feasible points are returned unchanged (same array). A point q with
     residual r = phi q - B outside the ball moves to q - phi^T v, whose
@@ -256,14 +256,13 @@ class FeasibilityProjector:
     solves stopped at MULTIPLIER_MAX_STEPS without meeting the tolerance.
     """
 
-    def __init__(self, phi, B, eps, gram_scale=None, basis=None):
-        self.phi = phi
-        self.B = B
-        self.eps = as_real(eps, "eps", zero_ok=True)
-        self.gram_scale = gram_scale
-        self.newton_steps = 0
-        self.newton_cap_hits = 0
-        if gram_scale is None:
+    def __init__(self, problem, basis=None):
+        self.phi = phi = problem.phi
+        self.B = B = problem.B
+        self.eps = as_real(problem.epsilon, "epsilon", zero_ok=True)
+        self.gram_scale = problem.A.row_gram_scale if problem.A.row_orthonormal else None
+        self.newton_steps = self.newton_cap_hits = 0
+        if self.gram_scale is None:
             self.basis = _Eigenbasis(phi) if basis is None else basis
             self.operator = self.basis.operator
             self.data = self.basis.V.T @ B
@@ -335,22 +334,6 @@ class FeasibilityProjector:
         return lam
 
 
-def _build_projector(problem, bases=None):
-    """The projector onto the problem's ball, closed form when phi is certified.
-
-    ``bases`` maps id(phi) to the eigenbasis of each uncertified operator
-    already factored; problems that share one phi array share its entry.
-    """
-    A, phi = problem.A, problem.phi
-    if A.row_orthonormal:
-        return FeasibilityProjector(phi, problem.B, problem.epsilon, gram_scale=A.row_gram_scale)
-    bases = {} if bases is None else bases
-    basis = bases.get(id(phi))
-    if basis is None:
-        basis = bases[id(phi)] = _Eigenbasis(phi)
-    return FeasibilityProjector(phi, problem.B, problem.epsilon, basis=basis)
-
-
 def project_feasible(q, problem):
     """Project q onto the problem's ball of radius ``problem.epsilon``.
 
@@ -358,7 +341,7 @@ def project_feasible(q, problem):
     reuse it, while this wrapper pays the factorization on every call. For
     another radius, pass ``dataclasses.replace(problem, epsilon=...)``.
     """
-    return _build_projector(problem)(q)
+    return FeasibilityProjector(problem)(q)
 
 
 def initial_state(alpha0):
@@ -614,8 +597,7 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
         state, objective = _step(state, batch)
         state.objective_trace.append(objective)
         return state
-    if projector is None:
-        projector = _build_projector(problem)
+    projector = projector or FeasibilityProjector(problem)
     if state.phi_alpha is None:
         as_matrix(state.alpha, "coefficients")
     trusted = trusted_rows(smoothing.known_support, len(state.alpha))
@@ -644,10 +626,16 @@ class _Solve:
 
 def _start(problem, cfg, bases):
     """A :class:`_Solve` at the projected back-projection of the data, or
-    the final report when the data is zero; ``bases`` as in
-    :func:`_build_projector`."""
-    projector = _build_projector(problem, bases)
-    corr = problem.phi.T @ problem.B
+    the final report when the data is zero. ``bases`` maps id(phi) to the
+    eigenbasis of each uncertified operator already factored; a new one is
+    stored before the projector is built, so an empty ball still shares it."""
+    phi = problem.phi
+    if problem.A.row_orthonormal:
+        basis = None
+    elif (basis := bases.get(id(phi))) is None:
+        basis = bases[id(phi)] = _Eigenbasis(phi)
+    projector = FeasibilityProjector(problem, basis)
+    corr = phi.T @ problem.B
     scale = float(row_norms(corr, 2).max())
     if scale == 0.0:
         # B is orthogonal to the range, so the projector found ||B|| within
@@ -862,7 +850,8 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
     strongest rows of the coefficient estimate as the next pass's trusted
     support, until the support stops changing or MAX_OUTER passes. With
     ``use_music`` the first pass trusts the min(rank, k) best-scored rows
-    of :func:`music_support`, since trusted rows are taken at face value.
+    of :func:`music_support`, since trusted rows are taken at face value;
+    at rank n every score is round-off, and no row is.
     """
     k = as_count(k, "k", below=problem.N)
     t0 = time.perf_counter()
@@ -870,7 +859,8 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
     support = SupportSet()
     if use_music:
         music = music_support(problem, k)
-        support = SupportSet._of_sorted(top_k(-music.scores, min(music.rank, k)))
+        if music.rank < problem.n:
+            support = SupportSet._of_sorted(top_k(-music.scores, min(music.rank, k)))
     total_inner = restarts = 0
     traces = []
     stage_iters = []

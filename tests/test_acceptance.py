@@ -110,7 +110,11 @@ def test_criterion_2_projection_matches_bisection_oracle():
         if np.linalg.norm(phi @ q - B) <= eps:
             continue
         cases += 1
-        proj = FeasibilityProjector(phi, B, eps, gram_scale=1.0 if orthonormal else None)
+        if orthonormal:
+            A = MeasurementMatrix(phi, row_orthonormal=True, row_gram_scale=1.0)
+        else:
+            A = MeasurementMatrix(phi)
+        proj = FeasibilityProjector(MmvProblem(A=A, B=B, epsilon=eps))
         out = proj(q)
         worst_res = max(worst_res, abs(np.linalg.norm(phi @ out - B) - eps))
         worst_dev = max(worst_dev, float(np.abs(out - _bisection_oracle(phi, B, eps, q)).max()))

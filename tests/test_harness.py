@@ -97,6 +97,16 @@ def test_run_trial_is_deterministic_except_timing():
     assert a.success == b.success
 
 
+@pytest.mark.parametrize("solver", ["nesta", "iterative-nesta", "smv"])
+def test_nesta_reports_split_their_iterations_into_stages(solver):
+    # smv's report lists the stages of each column's solve in turn
+    problems = [gen_instance(small_spec(seed=seed)).problem for seed in (0, 1)]
+    for report in solve_problems(solver, problems, 2):
+        stages = report.stage_iterations
+        assert sum(stages) == report.inner_iterations == len(report.objective_trace) > 0
+        assert len(stages) >= 4 * (problems[0].L if solver == "smv" else 1)
+
+
 def test_smv_baseline_stacks_per_column_solves():
     inst = gen_instance(small_spec(seed=8))
     joint = solve_smv_per_column(inst.problem)

@@ -344,13 +344,24 @@ def test_spectral_norm_restarts_off_a_null_space_start():
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
 def test_spectral_norm_restarts_when_scaled_columns_cancel_exactly(shape):
     # every column sums to 0, so |M^T v| = 0 lies outside (1e-50, 1e50) for
-    # the uniform start v; after M is divided by its largest entry, x + (-x)
-    # still cancels exactly, and only the restart off the largest column
-    # finds the norm (rows that sum to 0 leave round-off there instead)
+    # the uniform start v; after M is divided by its largest entry 3, v @ M
+    # keeps round-off of ~1e-17 and the norm is found without the restart
+    # (the power-of-two case below is the one that reaches it)
     M = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])
     M = M if shape == (2, 3) else M.T
     assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
     assert np.linalg.norm(M, 2) == pytest.approx(math.sqrt(28.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+def test_spectral_norm_restarts_when_the_start_lies_in_the_null_space(shape):
+    # the peak 4 is a power of two, so M / 4 is exact and v @ (M / 4)
+    # cancels to exactly 0 even with fused multiply-adds: only the restart
+    # off the largest column finds the norm, which would otherwise read 0
+    M = np.array([[1.0, 2.0, 4.0], [-1.0, -2.0, -4.0]])
+    M = M if shape == (2, 3) else M.T
+    assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+    assert np.linalg.norm(M, 2) == pytest.approx(math.sqrt(42.0), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -476,12 +487,17 @@ def test_fixed_step_rejects_an_operator_whose_squared_norm_is_out_of_range(make,
         iht_solve(make(scale), IhtConfig(k=k))
 
 
-# the adaptive rule runs MUSIC first, which warns of column norms that underflow
-@pytest.mark.filterwarnings("ignore:.*zero dictionary column:UserWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e-156])
 def test_adaptive_start_rejects_an_operator_whose_squared_norm_is_out_of_range(scale):
     with pytest.raises(InvalidArgumentError, match="out of range: its square bounds the step"):
         iht_solve(scaled_rank_n_problem(scale), IhtConfig(k=4, adaptive_step=True))
+
+
+def test_adaptive_rule_recovers_from_a_music_start_whose_column_norms_underflow():
+    # NIHT needs no ||phi||_2 after a MUSIC start, and MUSIC scores phi over
+    # its largest entry when its squared column norms underflow to 0
+    report = iht_solve(scaled_music_problem(1e-200), IhtConfig(k=2, adaptive_step=True))
+    assert tuple(report.detected_support) == (3, 9)
 
 
 def test_iht_solves_on_a_row_centred_operator():

@@ -233,3 +233,24 @@ def test_scores_near_the_subspace_match_the_residual_oracle():
     exact = distances / np.sqrt(1.0 + distances**2)
     assert np.abs(scores[: distances.size] - exact).max() <= 1e-12
     assert music_support(problem, 2).support == SupportSet((0, 1))
+
+
+def scaled_problem(scale):
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal((20, 50))
+    X = np.zeros((50, 2))
+    X[[3, 9]] = rng.standard_normal((2, 2))
+    # MeasurementMatrix skips the certificate, whose Gram product overflows
+    return MmvProblem(A=MeasurementMatrix(scale * phi), B=scale * (phi @ X), epsilon=0.0)
+
+
+# at 1e-200 every squared column norm underflows to 0, at 1e-156 to a
+# subnormal, and at 1e160 and 1e200 it overflows: the scores are taken on
+# phi over its largest entry, with no warning
+@pytest.mark.parametrize("scale", [1e-200, 1e-156, 1e160, 1e200])
+def test_support_and_scores_do_not_depend_on_an_extreme_operator_scale(scale):
+    base = music_support(scaled_problem(1.0), 2)
+    got = music_support(scaled_problem(scale), 2)
+    assert got.rank == base.rank == 2
+    assert got.support == base.support == SupportSet((3, 9))
+    assert np.abs(got.scores - base.scores).max() <= 1e-15

@@ -164,7 +164,7 @@ def test_cached_step_matches_literal_transcription_past_refreshes():
     reference = literal_iteration(
         ALPHA0_FIXED, 0.5, 0.25, steps, proj=kkt_projection(A, B_FIXED, 0.25), trusted=(1,)
     )
-    projector = FeasibilityProjector(A, B_FIXED, 0.25)
+    projector = FeasibilityProjector(problem)
     state = initial_state(ALPHA0_FIXED)
     for y_ref, z_ref, alpha_ref, qz_ref in reference:
         state = nesta_step(state, problem, sm, projector=projector)
@@ -219,12 +219,7 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
     ]
     for problem in problems:
         problem.phi = problem.phi.view(CountingArray)
-    projectors = [
-        FeasibilityProjector(
-            p.phi, p.B, 0.0, gram_scale=p.A.row_gram_scale if p.A.row_orthonormal else None
-        )
-        for p in problems
-    ]
+    projectors = [FeasibilityProjector(p) for p in problems]
     for projector in projectors:
         # the step multiplies by phi written in the projector's basis: phi
         # itself when certified, V^T phi otherwise
@@ -259,7 +254,7 @@ def test_step_makes_two_products_with_phi(matrix_kind, batch_size):
 def test_uncertified_step_makes_no_product_with_the_eigenvectors(batch_size):
     spec = dict(n=8, N=16, L=2, k=2, rank=2, noise_sigma=1e-2, matrix_kind="gaussian")
     problems = [gen_instance(ProblemSpec(seed=3 + i, **spec)).problem for i in range(batch_size)]
-    projectors = [FeasibilityProjector(p.phi, p.B, p.epsilon) for p in problems]
+    projectors = [FeasibilityProjector(p) for p in problems]
     for projector in projectors:
         projector.basis.V = projector.basis.V.view(CountingArray)
     sm = SmoothingConfig(mu=0.1)
@@ -287,9 +282,9 @@ def test_uncertified_step_makes_no_product_with_the_eigenvectors(batch_size):
 
 def test_step_skips_back_projection_when_both_points_are_feasible():
     inst = gen_instance(ProblemSpec(n=8, N=16, L=2, k=2, rank=2, seed=3))
-    problem = inst.problem
+    problem = MmvProblem(A=inst.problem.A, B=inst.problem.B, epsilon=1e9)
     problem.phi = problem.phi.view(CountingArray)
-    projector = FeasibilityProjector(problem.phi, problem.B, 1e9, gram_scale=1.0)
+    projector = FeasibilityProjector(problem)
     state = nesta_step(initial_state(inst.X_true), problem, SmoothingConfig(mu=0.1), projector=projector)
     CountingArray.products = 0
     nesta_step(state, problem, SmoothingConfig(mu=0.1), projector=projector)
@@ -565,6 +560,19 @@ def test_iterative_nesta_music_seed_trusts_best_scored_rows(monkeypatch):
     assert len(seeds[0]) == 2 and set(seeds[0]) < set(music.support)
 
 
+@pytest.mark.parametrize("matrix_kind", ["row-orthonormal-gaussian", "gaussian"])
+def test_iterative_nesta_trusts_no_music_row_at_rank_n(matrix_kind):
+    # L = 8 noisy columns give data of rank n = 6: every column lies in the
+    # signal subspace and every MUSIC score is round-off, so a seed would
+    # trust the rows with the smallest round-off; none is trusted instead
+    spec = dict(n=6, N=16, L=8, k=2, rank=2, noise_sigma=1e-2, matrix_kind=matrix_kind)
+    inst = gen_instance(ProblemSpec(seed=0, **spec))
+    assert music_support(inst.problem, 2).rank == inst.problem.n
+    seeded = iterative_nesta(inst.problem, 2, use_music=True)
+    assert_same_report(seeded, iterative_nesta(inst.problem, 2))
+    assert seeded.detected_support == inst.support_true
+
+
 def test_solve_with_sparsifying_transform():
     # the signal is row-sparse in a non-canonical orthonormal basis Psi,
     # X = Psi alpha: solve for alpha with the operator A @ Psi, map back
@@ -723,8 +731,7 @@ def test_nesta_solve_is_its_documented_schedule_of_nesta_steps(index):
     mu0, mu_final = MU0_FACTOR * scale, MU_FINAL_FACTOR * scale
     ratio = (mu_final / mu0) ** (1.0 / CONTINUATION_STAGES)
     floor = OBJECTIVE_FLOOR_FACTOR * scale
-    gram_scale = problem.A.row_gram_scale if problem.A.row_orthonormal else None
-    projector = FeasibilityProjector(problem.phi, problem.B, problem.epsilon, gram_scale)
+    projector = FeasibilityProjector(problem)
     x, stage_iterations, trace = projector(corr), [], []
     for stage in range(CONTINUATION_STAGES):
         sm = SmoothingConfig(mu=mu0 * ratio ** (stage + 1))
@@ -805,7 +812,7 @@ def test_solvers_take_the_trusted_rows_not_a_smoothing_config():
 
 def test_batch_rejects_an_out_of_range_support_before_any_setup(monkeypatch):
     built = []
-    monkeypatch.setattr(nesta, "_build_projector", lambda *args: built.append(args))
+    monkeypatch.setattr(nesta, "FeasibilityProjector", lambda *args: built.append(args))
     with pytest.raises(InvalidArgumentError, match="out of range for 24 rows"):
         nesta_solve_batch(batch_problems(), SupportSet((2, 24)))
     assert built == []

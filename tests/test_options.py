@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 
 from mmvsolve import (
+    FeasibilityProjector,
     IhtConfig,
     MmvProblem,
     NestaConfig,
@@ -83,3 +84,9 @@ def test_radius_lives_only_on_the_problem():
     # the solvers read problem.epsilon; a radius override is a new knob
     assert not hasattr(NestaConfig(), "epsilon")
     assert not hasattr(NestaConfig, "epsilon")
+
+
+def test_projector_is_built_from_its_problem():
+    # the radius and the certificate come from the problem; phi, B, eps or
+    # gram_scale arguments would let a projector disagree with it
+    assert parameters(FeasibilityProjector) == ["problem", "basis"]

@@ -35,6 +35,16 @@ def bisection_oracle(phi, B, eps, q, width=1e-12):
     return alpha_of(0.5 * (lo + hi))
 
 
+def problem_of(phi, B, eps, orthonormal=False):
+    """The problem (phi, B, eps); an orthonormal phi is certified with c = 1
+    exactly, any other is left uncertified."""
+    if orthonormal:
+        A = MeasurementMatrix(phi, row_orthonormal=True, row_gram_scale=1.0)
+    else:
+        A = MeasurementMatrix(phi)
+    return MmvProblem(A=A, B=B, epsilon=eps)
+
+
 def random_cases(count, seed, orthonormal):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -57,7 +67,7 @@ def test_feasible_point_returned_unchanged():
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((3, 8))
     B = rng.standard_normal((3, 2))
-    proj = FeasibilityProjector(phi, B, eps=1e9)
+    proj = FeasibilityProjector(problem_of(phi, B, 1e9))
     q = rng.standard_normal((8, 2))
     assert proj(q) is q
     assert proj.basis_correction(proj.operator @ q - proj.data) is None
@@ -70,7 +80,7 @@ def test_exact_affine_projection_with_orthonormal_rows():
     phi = Q.T
     B = rng.standard_normal((4, 2))
     q = rng.standard_normal((9, 2))
-    proj = FeasibilityProjector(phi, B, eps=0.0, gram_scale=1.0)
+    proj = FeasibilityProjector(problem_of(phi, B, 0.0, orthonormal=True))
     out = proj(q)
     assert np.allclose(out, q - phi.T @ (phi @ q - B), atol=1e-13)
     assert np.linalg.norm(phi @ out - B) <= 1e-12
@@ -79,8 +89,7 @@ def test_exact_affine_projection_with_orthonormal_rows():
 def test_projection_matches_bisection_oracle():
     for orthonormal, seed in ((True, 10), (False, 20)):
         for phi, B, eps, q in random_cases(15, seed, orthonormal):
-            scale = 1.0 if orthonormal else None
-            out = FeasibilityProjector(phi, B, eps, gram_scale=scale)(q)
+            out = FeasibilityProjector(problem_of(phi, B, eps, orthonormal))(q)
             res = np.linalg.norm(phi @ out - B)
             assert eps - 1e-9 <= res <= eps + 1e-9
             ref = bisection_oracle(phi, B, eps, q)
@@ -91,7 +100,7 @@ def test_multiplier_newton_steps_are_few_and_never_capped():
     # Newton on 1/sqrt(psi) - 1/eps is nearly linear in the multiplier and
     # takes 3-5 steps on these cases; Newton on psi - eps^2 takes 7-17
     for phi, B, eps, q in random_cases(15, 20, orthonormal=False):
-        proj = FeasibilityProjector(phi, B, eps)
+        proj = FeasibilityProjector(problem_of(phi, B, eps))
         out = proj(q)
         assert np.abs(out - bisection_oracle(phi, B, eps, q)).max() <= 1e-8
         assert 1 <= proj.newton_steps <= 6
@@ -101,7 +110,7 @@ def test_multiplier_newton_steps_are_few_and_never_capped():
 def test_multiplier_cap_hit_is_counted(monkeypatch):
     phi, B, eps, q = next(random_cases(1, 20, orthonormal=False))
     monkeypatch.setattr(nesta, "MULTIPLIER_MAX_STEPS", 1)
-    proj = FeasibilityProjector(phi, B, eps)
+    proj = FeasibilityProjector(problem_of(phi, B, eps))
     proj(q)
     assert proj.newton_steps == 1
     assert proj.newton_cap_hits == 1
@@ -112,8 +121,7 @@ def test_correction_gives_the_projected_image():
     # the change of its image, for both paths
     for orthonormal, seed in ((True, 70), (False, 80)):
         for phi, B, eps, q in random_cases(6, seed, orthonormal):
-            scale = 1.0 if orthonormal else None
-            proj = FeasibilityProjector(phi, B, eps, gram_scale=scale)
+            proj = FeasibilityProjector(problem_of(phi, B, eps, orthonormal))
             for point in (q, 3.0 * q):
                 vt, gvt = proj.basis_correction(proj.operator @ point - proj.data)
                 assert np.abs((point - (vt.T @ proj.operator).T) - proj(point)).max() <= 1e-12
@@ -125,7 +133,7 @@ def test_project_images_leaves_feasible_points_alone():
     rng = np.random.default_rng(2)
     phi = rng.standard_normal((3, 8))
     B = rng.standard_normal((3, 2))
-    proj = FeasibilityProjector(phi, B, eps=1e9)
+    proj = FeasibilityProjector(problem_of(phi, B, 1e9))
     q = rng.standard_normal((8, 2))
     image = proj.operator @ q
     assert proj.basis_correction(image - proj.data) is None
@@ -143,7 +151,7 @@ def test_projection_optimality_against_sampled_feasible_points():
     phi = rng.standard_normal((4, 10))
     B = rng.standard_normal((4, 2))
     eps = 0.4
-    proj = FeasibilityProjector(phi, B, eps)
+    proj = FeasibilityProjector(problem_of(phi, B, eps))
     q = 5.0 * rng.standard_normal((10, 2))
     out = proj(q)
     dist = np.linalg.norm(out - q)
@@ -156,8 +164,7 @@ def test_projection_optimality_against_sampled_feasible_points():
 def test_projection_idempotent():
     for orthonormal, seed in ((True, 40), (False, 50)):
         for phi, B, eps, q in random_cases(8, seed, orthonormal):
-            scale = 1.0 if orthonormal else None
-            proj = FeasibilityProjector(phi, B, eps, gram_scale=scale)
+            proj = FeasibilityProjector(problem_of(phi, B, eps, orthonormal))
             once = proj(q)
             twice = proj(once)
             assert np.abs(twice - once).max() <= 1e-12
@@ -172,7 +179,7 @@ def test_infeasible_exact_problem_raises(eps):
         A = MeasurementMatrix.from_entries(phi)
     B = np.array([[0.0], [0.0], [1.0]])
     with pytest.raises(InfeasibleProblemError) as built:
-        FeasibilityProjector(phi, B, eps=eps)
+        FeasibilityProjector(MmvProblem(A=A, B=B, epsilon=eps))
     with pytest.raises(InfeasibleProblemError) as wrapped:
         project_feasible(np.zeros((2, 1)), MmvProblem(A=A, B=B, epsilon=eps))
     assert str(wrapped.value) == str(built.value)
@@ -198,6 +205,32 @@ def test_project_feasible_wrapper_uses_problem_radius():
 def test_projector_rejects_non_finite_or_negative_radius(eps, certified):
     phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     B = np.ones((2, 1))
-    gram_scale = 1.0 if certified else None
-    with pytest.raises(InvalidArgumentError, match=f"eps .*got {eps!r}"):
-        FeasibilityProjector(phi, B, eps, gram_scale=gram_scale)
+    with pytest.raises(InvalidArgumentError, match=f"epsilon .*got {eps!r}"):
+        FeasibilityProjector(problem_of(phi, B, eps, certified))
+
+
+def test_projector_takes_its_certificate_and_radius_from_the_problem():
+    # an uncertified problem gets the general path, whatever its operator,
+    # and a certified one the closed form with the certificate's c: a loose
+    # c = 2 once left this point at residual 186 from a ball of radius 0.5
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal((8, 20))
+    B = rng.standard_normal((8, 2))
+    q = rng.standard_normal((20, 2))
+    proj = FeasibilityProjector(MmvProblem(A=phi, B=B, epsilon=0.5))
+    assert proj.gram_scale is None and proj.eps == 0.5
+    assert np.linalg.norm(phi @ proj(q) - B) == pytest.approx(0.5, abs=1e-9)
+    rows = np.sqrt(2.0) * np.linalg.qr(phi.T)[0].T
+    certified = MmvProblem(A=MeasurementMatrix.from_entries(rows), B=B, epsilon=0.5)
+    proj = FeasibilityProjector(certified)
+    assert proj.gram_scale == certified.A.row_gram_scale == pytest.approx(2.0, rel=1e-14)
+    assert np.linalg.norm(rows @ proj(q) - B) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_projector_rejects_a_radius_set_after_the_problem_was_built(certified):
+    phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    problem = problem_of(phi, np.ones((2, 1)), 0.5, certified)
+    problem.epsilon = -1.0
+    with pytest.raises(InvalidArgumentError, match="epsilon .*got -1.0"):
+        FeasibilityProjector(problem)
