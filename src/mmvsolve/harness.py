@@ -40,9 +40,8 @@ import numpy as np
 from .core import SOLVER_ERRORS, InvalidArgumentError, MmvProblem, as_count, as_real
 from .iht import IhtConfig, iht_solve
 from .nesta import (
-    RecoveryReport,
-    detected_support,
     iterative_nesta,
+    joined_report,
     # not called here; the benchmark's tracing test reads harness.nesta_solve
     nesta_solve,  # noqa: F401
     nesta_solve_batch,
@@ -114,26 +113,14 @@ def _column_problems(problem):
 
 
 def _stacked_columns(problem, reports):
-    """The per-channel report of ``problem`` from its column reports, or the
-    first column's error. Its final objective and restarts are the sums of
-    the columns', and its stage iterations theirs in column order."""
+    """The per-channel report of ``problem`` from its column reports joined
+    in column order, its final objective and wall time their sums, or the
+    first column's error."""
     for report in reports:
         if isinstance(report, Exception):
             return report
     estimate = np.column_stack([r.estimate[:, 0] for r in reports])
-    return RecoveryReport(
-        estimate=estimate,
-        inner_iterations=sum(r.inner_iterations for r in reports),
-        outer_iterations=1,
-        final_residual=float(np.linalg.norm(problem.phi @ estimate - problem.B)),
-        final_objective=sum(r.final_objective for r in reports),
-        detected_support=detected_support(estimate),
-        objective_trace=np.concatenate([r.objective_trace for r in reports]),
-        wall_time=sum(r.wall_time for r in reports),
-        converged=all(r.converged for r in reports),
-        stage_iterations=[s for r in reports for s in r.stage_iterations],
-        restarts=sum(r.restarts for r in reports),
-    )
+    return joined_report(problem, estimate, reports, wall_time=sum(r.wall_time for r in reports))
 
 
 def solve_smv_batch(problems, cfg=None):

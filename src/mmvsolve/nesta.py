@@ -611,22 +611,23 @@ def nesta_step(state, problem, smoothing, projector=None, batch=None):
 
 @dataclass(eq=False)
 class _Solve:
-    """One problem's progress through :func:`nesta_solve_batch`, its trace included."""
+    """One problem's progress through :func:`nesta_solve_batch`, and a run of
+    :func:`joined_report`; with an empty ``schedule`` it runs no stage."""
 
     problem: MmvProblem
     projector: FeasibilityProjector
     schedule: list
     floor: float
     x: np.ndarray
-    trace: array = field(default_factory=lambda: array("d"))
+    objective_trace: array = field(default_factory=lambda: array("d"))
     stage_iterations: list = field(default_factory=list)
     restarts: int = 0
     converged: bool = True
 
 
 def _start(problem, cfg, bases):
-    """A :class:`_Solve` at the projected back-projection of the data, or
-    the final report when the data is zero. ``bases`` maps id(phi) to the
+    """A :class:`_Solve` at the projected back-projection of the data, or at
+    x = 0 with no stages when phi^T B = 0. ``bases`` maps id(phi) to the
     eigenbasis of each uncertified operator already factored; a new one is
     stored before the projector is built, so an empty ball still shares it."""
     phi = problem.phi
@@ -640,7 +641,7 @@ def _start(problem, cfg, bases):
     if scale == 0.0:
         # B is orthogonal to the range, so the projector found ||B|| within
         # the ball's slack: zero is the answer
-        return _zero_data_report(problem)
+        return _Solve(problem, projector, [], 0.0, np.zeros((problem.N, problem.L)))
     mu_final = MU_FINAL_FACTOR * scale if cfg.mu_final is None else cfg.mu_final
     mu0 = MU0_FACTOR * scale
     if mu_final >= mu0:
@@ -699,7 +700,7 @@ def _run_stage(solves, stage, trusted, cfg):
         it = state.iteration
         objective = state.objective_trace.pop()
         for solve, value in zip(active, objective.tolist()):
-            solve.trace.append(value)
+            solve.objective_trace.append(value)
         if it > 1:
             rose = objective > recent[(it - 2) % width]
             if rose.any():
@@ -740,41 +741,37 @@ def _run_stage(solves, stage, trusted, cfg):
             solve.converged = False
 
 
-def _zero_data_report(problem):
-    return RecoveryReport(
-        estimate=np.zeros((problem.N, problem.L)),
-        inner_iterations=0,
-        outer_iterations=1,
-        final_residual=float(np.linalg.norm(problem.B)),
-        final_objective=0.0,
-        detected_support=SupportSet(),
-        objective_trace=np.empty(0),
-        wall_time=0.0,
-        converged=True,
-    )
-
-
 def detected_support(alpha):
     """Rows of a coefficient estimate above DETECT_REL_TOL of its largest row."""
     max_row = float(row_norms(alpha, 2).max())
     return row_support(alpha, DETECT_REL_TOL * max_row) if max_row > 0 else SupportSet()
 
 
-def _report(solve):
-    problem, alpha_hat, trace = solve.problem, solve.x, np.array(solve.trace)
-    return RecoveryReport(
-        estimate=alpha_hat,
-        inner_iterations=sum(solve.stage_iterations),
+def joined_report(problem, estimate, runs, **given):
+    """The report of ``estimate`` for ``problem`` from the runs that made it
+    (reports or :class:`_Solve` objects), in order: their stage iterations
+    and objective traces concatenated (no run: an empty float64 trace),
+    ``inner_iterations`` the sum of those stages, ``restarts`` the sum of
+    theirs, converged when every run is, and the final objective 0.0 plus
+    each run's last objective. The residual ||phi estimate - B||_F and the
+    detected support are the estimate's, ``outer_iterations`` is 1 and
+    ``wall_time`` 0.0; a field given in ``given`` replaces the rule's."""
+    traces = [run.objective_trace for run in runs]
+    stages = [s for run in runs for s in run.stage_iterations]
+    fields = dict(
+        estimate=estimate,
+        inner_iterations=sum(stages),
         outer_iterations=1,
-        final_residual=float(np.linalg.norm(problem.phi @ alpha_hat - problem.B)),
-        final_objective=float(trace[-1]),
-        detected_support=detected_support(alpha_hat),
-        objective_trace=trace,
+        final_residual=float(np.linalg.norm(problem.phi @ estimate - problem.B)),
+        final_objective=sum((float(t[-1]) for t in traces if len(t)), 0.0),
+        detected_support=detected_support(estimate),
+        objective_trace=np.concatenate(traces) if traces else np.empty(0),
         wall_time=0.0,
-        converged=solve.converged,
-        stage_iterations=solve.stage_iterations,
-        restarts=solve.restarts,
+        converged=all(run.converged for run in runs),
+        stage_iterations=stages,
+        restarts=sum(run.restarts for run in runs),
     )
+    return RecoveryReport(**{**fields, **given})
 
 
 def nesta_solve_batch(problems, known_support=(), cfg=None):
@@ -804,18 +801,13 @@ def nesta_solve_batch(problems, known_support=(), cfg=None):
     bases = {}  # one eigendecomposition per distinct uncertified operator
     for i, problem in enumerate(problems):
         try:
-            started = _start(problem, cfg, bases)
+            solves[i] = _start(problem, cfg, bases)
         except SOLVER_ERRORS as exc:
             results[i] = exc
-            continue
-        if isinstance(started, RecoveryReport):
-            results[i] = started
-        else:
-            solves[i] = started
     for stage in range(max((len(s.schedule) for s in solves.values()), default=0)):
         _run_stage([s for s in solves.values() if stage < len(s.schedule)], stage, trusted, cfg)
     for i, solve in solves.items():
-        results[i] = _report(solve)
+        results[i] = joined_report(solve.problem, solve.x, [solve])
 
     elapsed = time.perf_counter() - t0
     reports = [r for r in results if isinstance(r, RecoveryReport)]
@@ -861,35 +853,24 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
         music = music_support(problem, k)
         if music.rank < problem.n:
             support = SupportSet._of_sorted(top_k(-music.scores, min(music.rank, k)))
-    total_inner = restarts = 0
-    traces = []
-    stage_iters = []
-    outer = 0
+    passes = []
     stabilized = False
-    report = None
-    while outer < MAX_OUTER:
+    while len(passes) < MAX_OUTER:
         report = nesta_solve(problem, support, cfg)
-        outer += 1
-        total_inner += report.inner_iterations
-        restarts += report.restarts
-        traces.append(report.objective_trace)
-        stage_iters.extend(report.stage_iterations)
+        passes.append(report)
         new_support = hard_threshold_rows(report.estimate, k)[1]
         if new_support == support:
             stabilized = True
             break
         support = new_support
 
-    return RecoveryReport(
-        estimate=report.estimate,
-        inner_iterations=total_inner,
-        outer_iterations=outer,
-        final_residual=report.final_residual,
+    return joined_report(
+        problem,
+        report.estimate,
+        passes,
+        outer_iterations=len(passes),
         final_objective=report.final_objective,
         detected_support=support,
-        objective_trace=np.concatenate(traces),
-        wall_time=time.perf_counter() - t0,
         converged=stabilized and report.converged,
-        stage_iterations=stage_iters,
-        restarts=restarts,
+        wall_time=time.perf_counter() - t0,
     )
