@@ -428,9 +428,16 @@ def row_orthonormalize(A):
     Returns a certified :class:`MeasurementMatrix` spanning the same row
     space with A_tilde @ A_tilde.T = I. Any measurement block tied to the
     original matrix must be co-transformed by the caller; this routine only
-    touches the operator.
+    touches the operator. A matrix with more rows than columns has no full
+    row rank, and neither has one whose QR diagonal falls to 1e-12 of its
+    largest entry: both raise DegenerateInputError.
     """
     M = A.entries if isinstance(A, MeasurementMatrix) else as_matrix(A)
+    if M.shape[0] > M.shape[1]:
+        raise DegenerateInputError(
+            f"matrix has {M.shape[0]} rows but {M.shape[1]} columns; at most as many "
+            "rows as columns can be orthonormal"
+        )
     Q, R = np.linalg.qr(M.T, mode="reduced")
     diag = np.diag(R)
     mags = np.abs(diag)

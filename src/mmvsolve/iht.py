@@ -11,7 +11,8 @@ of that stability threshold, with ||phi||_2 exact for a certified operator
 (phi phi^T = c I) and a Lanczos estimate (``spectral_norm``) otherwise;
 the optional adaptive mode uses the normalized rule (exact step on the
 current support, halved until a support change passes the usual
-acceptance test). Every step set by ||phi||_2 takes it from
+acceptance test, whose ratios are scaled by powers of two where their
+squares would overflow). Every step set by ||phi||_2 takes it from
 ``_squared_norm``, which checks its range. A fixed-step iteration makes
 one dense product phi^T r, one ``hard_threshold_rows`` call and the
 residual on the k kept columns, B - phi[:, rows] alpha[rows].
@@ -79,6 +80,9 @@ _FINISH_MARGIN = 1e-9
 # off-diagonal entry falls below this fraction of the largest diagonal one.
 _RITZ_CHECK = 4
 _INVARIANT = 1e-12
+
+# A norm below this has a square below 2^1022, well inside the float range.
+_SQUARE_SAFE = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -179,21 +183,46 @@ def _threshold(X, k):
     return out, support, support.as_array()
 
 
+def _squares(phi, d):
+    """(a, b, e) with a / b * 2^e = ||d||_F^2 / ||phi d||_F^2.
+
+    While both norms are below _SQUARE_SAFE, a and b are those squares and
+    e = 0: the plain arithmetic. Past it (NIHT on operators of scale ~1e57
+    and up), they are the squares for d / 2^q and phi / 2^p, with 2^q and
+    2^p the powers of two just above the largest entries, which divide
+    exactly, and e = -2p.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = float(np.linalg.norm(d)), float(np.linalg.norm(phi @ d))
+    e = 0
+    if not (norms[0] < _SQUARE_SAFE and norms[1] < _SQUARE_SAFE):
+        p = math.frexp(float(np.abs(phi).max()))[1]
+        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+        norms = float(np.linalg.norm(d)), float(np.linalg.norm(np.ldexp(phi, -p) @ d))
+        e = -2 * p
+    return norms[0] ** 2, norms[1] ** 2, e
+
+
 def _normalized_step(phi, alpha, grad, rows, k):
-    """Adaptive proposal: exact step on the current rows, backtracked."""
+    """Adaptive proposal: exact step on the current rows, backtracked.
+
+    The step mu = ||g_S||^2 / ||phi g_S||^2 (1 where phi g_S = 0) is
+    halved until the support stays or mu <= (1 - _ADAPTIVE_C) ||d||^2 /
+    ||phi d||^2 for the move d. Each ratio comes from :func:`_squares`,
+    exact to the last bit of the plain arithmetic where the squares are in
+    range and scaled by powers of two where they would overflow, so the
+    rule runs at every operator scale whose ||phi||_2^2 is finite.
+    """
     grad_on = np.zeros_like(grad)
     grad_on[rows] = grad[rows]
-    denom = float(np.linalg.norm(phi @ grad_on)) ** 2
-    mu = (float(np.linalg.norm(grad_on)) ** 2 / denom) if denom > 0 else 1.0
+    num, denom, e = _squares(phi, grad_on)
+    mu = math.ldexp(num / denom, e) if denom > 0 else 1.0
     candidate, cand_support, cand_rows = _threshold(alpha + mu * grad, k)
     for _ in range(100):
         if np.array_equal(cand_rows, rows):
             break
-        diff = candidate - alpha
-        diff_denom = float(np.linalg.norm(phi @ diff)) ** 2
-        if diff_denom == 0 or mu <= (1.0 - _ADAPTIVE_C) * float(
-            np.linalg.norm(diff)
-        ) ** 2 / diff_denom:
+        num, denom, e = _squares(phi, candidate - alpha)
+        if denom == 0 or mu <= math.ldexp((1.0 - _ADAPTIVE_C) * num / denom, e):
             break
         mu *= 0.5
         candidate, cand_support, cand_rows = _threshold(alpha + mu * grad, k)
@@ -349,7 +378,11 @@ def iht_solve(problem, cfg):
     overflows, raises InvalidArgumentError ("||phi||_2 = ... is out of
     range"); the fixed rule checks the bound before MUSIC runs. A bound
     that overflows means a norm that overflows; one that underflows may
-    reject a norm just above ~1.5e-154 whose square is in range.
+    reject a norm just above ~1.5e-154 whose square is in range. The
+    adaptive rule's own steps are ratios that ``_normalized_step`` forms
+    at any scale, so after a MUSIC start it needs no ||phi||_2; it checks
+    ||phi||_2^2 before MUSIC only where sqrt(n N) max|phi_ij| reaches
+    _SQUARE_SAFE, and so raises the same error where that square overflows.
 
     The report's objective trace holds the data residual ||B - phi alpha||_F
     at the start, after each iteration and, when a try is accepted, at the
@@ -374,6 +407,10 @@ def iht_solve(problem, cfg):
     # the fixed rule checks ||phi||_2 here, before MUSIC, through the bound
     # of the start try; its fixed step waits for the first iteration
     try_step = None if cfg.adaptive_step else 0.98 / _squared_norm(problem, _BOUND_STEPS)
+    if cfg.adaptive_step and float(np.abs(phi).max()) * math.sqrt(phi.size) >= _SQUARE_SAFE:
+        # NIHT's ratios hold wherever ||phi||_2^2 is finite; check it where
+        # the bound ||phi||_F <= sqrt(n N) max|phi_ij| does not show that
+        _squared_norm(problem)
     step = None
 
     music = music_support(problem, cfg.k)

@@ -59,6 +59,10 @@ of its iterations is one ``nesta_step`` call on the stacked state.
 strongest rows of each estimate become trusted (unpenalized) in the next
 solve, for at most MAX_OUTER solves. Its first solve trusts no row, or
 with MUSIC at rank < n the min(rank, k) best-scored rows of ``music_support``.
+
+One rule, ``joined_report``, builds every report of this family from an
+estimate and the runs that made it: a solve, zero data (a solve with no
+stages), the per-channel baseline's columns and ``iterative_nesta``'s passes.
 """
 
 from __future__ import annotations
@@ -181,7 +185,11 @@ class RecoveryReport:
     segment lengths, each counting the stage's iterations across its
     restarts. ``restarts`` is the number of adaptive restarts of the
     accelerated scheme, summed over stages (and passes, and columns for
-    the per-channel baseline); 0 for a solver without momentum.
+    the per-channel baseline); 0 for a solver without momentum. The NESTA
+    family's reports are built by :func:`joined_report`, so for them
+    inner_iterations == sum(stage_iterations) == len(objective_trace); the
+    final objective is a solve's last, the per-channel baseline's sum over
+    its columns and ``iterative_nesta``'s its last pass's.
     """
 
     estimate: np.ndarray
@@ -786,8 +794,10 @@ def nesta_solve_batch(problems, known_support=(), cfg=None):
     shapes or a support out of range for N raise InvalidArgumentError
     before any setup; a problem whose setup fails with one of
     SOLVER_ERRORS (an empty ball) gets the error in its place of the list
-    and is not iterated. Each report's ``wall_time`` is its share of the
-    call's elapsed time, in proportion to inner iterations.
+    and is not iterated. A problem with phi^T B = 0 gets x = 0 after no
+    iteration. Each report is :func:`joined_report` of its solve, and its
+    ``wall_time`` its share of the call's elapsed time, in proportion to
+    inner iterations.
     """
     t0 = time.perf_counter()
     cfg = NestaConfig() if cfg is None else cfg
@@ -843,7 +853,10 @@ def iterative_nesta(problem, k, cfg=None, use_music=False):
     support, until the support stops changing or MAX_OUTER passes. With
     ``use_music`` the first pass trusts the min(rank, k) best-scored rows
     of :func:`music_support`, since trusted rows are taken at face value;
-    at rank n every score is round-off, and no row is.
+    at rank n every score is round-off, and no row is. The report joins the
+    passes (:func:`joined_report`), with the last pass's final objective,
+    the thresholded k rows as its support, and converged when the support
+    stabilized and the last pass converged.
     """
     k = as_count(k, "k", below=problem.N)
     t0 = time.perf_counter()

@@ -151,7 +151,10 @@ class ProblemSpec:
     """Everything needed to regenerate one instance, including the seed.
 
     The sizes and the seed are stored as ints and noise_sigma as a float,
-    so an integral float such as 32.0 gives the instance of the int.
+    so an integral float such as 32.0 gives the instance of the int. A
+    row-orthonormal operator needs n <= N, since at most N rows of length N
+    are orthonormal; a Gaussian one with n > N is allowed, with the
+    measurement matrix's warning.
     """
 
     n: int
@@ -172,6 +175,11 @@ class ProblemSpec:
         if self.matrix_kind not in MATRIX_KINDS:
             raise InvalidArgumentError(
                 f"unknown matrix_kind {self.matrix_kind!r}; use one of {MATRIX_KINDS}"
+            )
+        if self.matrix_kind == MATRIX_ROW_ORTHONORMAL and checked["n"] > checked["N"]:
+            raise InvalidArgumentError(
+                f"matrix_kind {MATRIX_ROW_ORTHONORMAL} needs n <= N, got n = {checked['n']} "
+                f"and N = {checked['N']}"
             )
         for name, value in checked.items():
             object.__setattr__(self, name, value)

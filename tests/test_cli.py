@@ -165,6 +165,13 @@ def test_solve_spec_with_an_unknown_or_repeated_key_exits_2(extra, words, tmp_pa
     assert captured.err.startswith(f"error: {spec_file}:6: {words}")
 
 
+def test_solve_tall_row_orthonormal_spec_exits_2(capsys):
+    assert main(["solve", "--n", "6", "--N", "4", "--L", "2", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "needs n <= N" in captured.err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_non_finite_noise_exits_2(value, capsys):
     assert main(["solve", "--n", "16", "--N", "32", "--L", "2", "--k", "3", "--noise", value]) == 2
@@ -517,6 +524,18 @@ def test_sweep_bad_grid_value_exits_2_before_any_output(tmp_path, capsys, grid):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert out_csv.read_text() == "earlier results\n"
+
+
+def test_sweep_with_a_tall_row_orthonormal_cell_exits_2_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n = 2\nN = 4\nL = 2\nk = 1\nrank = 1\nseed = 0\ntrials = 1\n"
+        f"solvers = nesta\ngrid.n = 2, 6\noutput = {tmp_path}/res.csv\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs n <= N" in captured.err
+    assert not (tmp_path / "res.csv").exists()
 
 
 def test_sweep_trial_seed_past_the_seed_range_exits_2(tmp_path, capsys):

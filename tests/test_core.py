@@ -390,6 +390,13 @@ def test_row_orthonormalize_rejects_rank_deficient():
         row_orthonormalize(M)
 
 
+def test_row_orthonormalize_rejects_more_rows_than_columns():
+    # QR of the 4 x 6 transpose would give 4 orthonormal rows of 6 asked for
+    M = np.random.default_rng(2).standard_normal((6, 4))
+    with pytest.raises(DegenerateInputError, match="6 rows but 4 columns"):
+        row_orthonormalize(M)
+
+
 def test_measurement_matrix_certification():
     M = MeasurementMatrix.from_entries([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
     assert M.row_orthonormal and M.row_gram_scale == pytest.approx(2.0)

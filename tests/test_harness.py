@@ -3,6 +3,8 @@ import os
 import re
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import assert_same_report, csv_without_wall_time
@@ -14,8 +16,10 @@ from mmvsolve import (
     MeasurementMatrix,
     MmvProblem,
     ProblemSpec,
+    SupportSet,
     SweepConfig,
     gen_instance,
+    hard_threshold_rows,
     nesta_solve,
     parse_sweep_config,
     run_sweep,
@@ -137,6 +141,59 @@ def test_smv_report_sums_its_columns_objectives_and_restarts():
     assert report.final_objective == sum(c.final_objective for c in columns)
     assert report.restarts == sum(c.restarts for c in columns) > 0
     assert report.inner_iterations == sum(c.inner_iterations for c in columns)
+
+
+def zero_correlation_problem(data):
+    """Zero data on a certified operator, or data orthogonal to the range
+    of a rank-deficient Gaussian one, inside a ball that holds it."""
+    if data == "zero":
+        problem = gen_instance(small_spec()).problem
+        return replace(problem, B=np.zeros_like(problem.B))
+    phi = np.random.default_rng(0).standard_normal((6, 12))
+    phi[-1] = 0.0
+    B = np.zeros((6, 2))
+    B[-1] = 1.0
+    return MmvProblem(A=MeasurementMatrix.from_entries(phi), B=B, epsilon=1.1 * np.linalg.norm(B))
+
+
+@pytest.mark.parametrize("data", ["zero", "off-range"])
+@pytest.mark.parametrize(
+    "solver, use_music",
+    [("nesta", False), ("smv", False), ("iterative-nesta", False), ("iterative-nesta", True)],
+)
+def test_zero_data_reports_pin_every_field_and_type(solver, use_music, data):
+    problem = zero_correlation_problem(data)
+    (report,) = solve_problems(solver, [problem], 2, use_music=use_music)
+    assert np.array_equal(report.estimate, np.zeros((problem.N, problem.L)))
+    assert type(report.final_objective) is float and report.final_objective == 0.0
+    trace = report.objective_trace
+    assert type(trace) is np.ndarray and trace.dtype == np.float64 and trace.shape == (0,)
+    assert report.stage_iterations == [] and report.restarts == 0
+    assert report.inner_iterations == sum(report.stage_iterations) == len(trace) == 0
+    assert type(report.final_residual) is float
+    assert report.final_residual == np.linalg.norm(problem.B)
+    assert report.converged is True
+    if solver == "iterative-nesta":
+        # its support is the k rows it thresholds the estimate to
+        assert report.detected_support == hard_threshold_rows(report.estimate, 2)[1]
+    else:
+        assert report.detected_support == SupportSet() and report.outer_iterations == 1
+
+
+def test_smv_zero_column_adds_no_stage_and_no_trace():
+    problem = gen_instance(small_spec(seed=3)).problem
+    B = problem.B.copy()
+    B[:, 1] = 0.0
+    problem = replace(problem, B=B)
+    (report,) = solve_problems("smv", [problem], 2)
+    first, zero, last = column_reports(problem)
+    assert zero.stage_iterations == [] and len(zero.objective_trace) == 0
+    assert type(report.final_objective) is float
+    assert report.final_objective == first.final_objective + last.final_objective
+    assert report.stage_iterations == first.stage_iterations + last.stage_iterations
+    trace = np.concatenate([first.objective_trace, last.objective_trace])
+    assert np.array_equal(report.objective_trace, trace)
+    assert report.inner_iterations == sum(report.stage_iterations) == len(trace) > 0
 
 
 def test_smv_batch_reports_each_problem_as_alone():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -491,6 +492,39 @@ def test_fixed_step_rejects_an_operator_whose_squared_norm_is_out_of_range(make,
 def test_adaptive_start_rejects_an_operator_whose_squared_norm_is_out_of_range(scale):
     with pytest.raises(InvalidArgumentError, match="out of range: its square bounds the step"):
         iht_solve(scaled_rank_n_problem(scale), IhtConfig(k=4, adaptive_step=True))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e60, 1e100, 1e150])
+def test_adaptive_step_solves_at_extreme_operator_scales(scale):
+    # the step's squares ||phi g||^2 overflow from a scale of ~1e57
+    cfg = IhtConfig(k=2, adaptive_step=True)
+    base = iht_solve(scaled_problem(1.0), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = iht_solve(scaled_problem(scale), cfg)
+    assert tuple(report.detected_support) == tuple(base.detected_support) == (3, 9)
+    assert np.abs(report.estimate - base.estimate).max() <= 1e-8 * np.abs(base.estimate).max()
+
+
+def test_adaptive_step_at_a_power_of_two_scale_is_the_unscaled_one_bit_for_bit():
+    # past the square's range the ratios are formed over power-of-two
+    # scalings, which are exact, as is the problem's scaling by 2^400
+    problem = gen_instance(
+        ProblemSpec(n=24, N=64, L=3, k=6, rank=3, noise_sigma=1e-3, matrix_kind="gaussian", seed=0)
+    ).problem
+    cfg = IhtConfig(k=6, adaptive_step=True)
+    base = iht_solve(problem, cfg)
+    c = 2.0**400
+    scaled = iht_solve(MmvProblem(A=MeasurementMatrix(c * problem.phi), B=c * problem.B), cfg)
+    assert scaled.inner_iterations == base.inner_iterations > 10
+    assert np.array_equal(scaled.estimate, base.estimate)
+    assert scaled.detected_support == base.detected_support
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_adaptive_rule_rejects_an_operator_whose_squared_norm_overflows(scale):
+    with pytest.raises(InvalidArgumentError, match="out of range: its square bounds the step"):
+        iht_solve(scaled_music_problem(scale), IhtConfig(k=2, adaptive_step=True))
 
 
 def test_adaptive_rule_recovers_from_a_music_start_whose_column_norms_underflow():

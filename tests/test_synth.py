@@ -27,6 +27,16 @@ def test_spec_validation():
         ProblemSpec(n=4, N=8, L=2, k=3, rank=2, matrix_kind="bernoulli")
 
 
+def test_row_orthonormal_spec_needs_n_at_most_N():
+    with pytest.raises(InvalidArgumentError, match="needs n <= N"):
+        ProblemSpec(n=6, N=4, L=2, k=1, rank=1)
+    assert gen_instance(ProblemSpec(n=4, N=4, L=2, k=1, rank=1)).problem.n == 4
+    # a Gaussian operator may be tall, with the measurement matrix's warning
+    with pytest.warns(UserWarning, match="more rows than columns"):
+        problem = gen_instance(ProblemSpec(n=6, N=4, L=2, k=1, rank=1, matrix_kind="gaussian")).problem
+    assert problem.phi.shape == (6, 4) and problem.B.shape == (6, 2)
+
+
 def test_spec_stores_integral_float_sizes_as_ints():
     floats = ProblemSpec(n=32.0, N=64.0, L=4.0, k=8.0, rank=4.0, seed=7.0)
     ints = ProblemSpec(n=32, N=64, L=4, k=8, rank=4, seed=7)
