@@ -2,7 +2,6 @@ import multiprocessing
 import os
 import re
 import sys
-
 from dataclasses import replace
 
 import numpy as np

@@ -32,8 +32,9 @@ def test_row_orthonormal_spec_needs_n_at_most_N():
         ProblemSpec(n=6, N=4, L=2, k=1, rank=1)
     assert gen_instance(ProblemSpec(n=4, N=4, L=2, k=1, rank=1)).problem.n == 4
     # a Gaussian operator may be tall, with the measurement matrix's warning
+    tall = ProblemSpec(n=6, N=4, L=2, k=1, rank=1, matrix_kind="gaussian")
     with pytest.warns(UserWarning, match="more rows than columns"):
-        problem = gen_instance(ProblemSpec(n=6, N=4, L=2, k=1, rank=1, matrix_kind="gaussian")).problem
+        problem = gen_instance(tall).problem
     assert problem.phi.shape == (6, 4) and problem.B.shape == (6, 2)
 
 

@@ -138,17 +138,17 @@ def reports():
     )
     out += nesta_solve_batch(mixed)
     out += nesta_solve_batch(c5[:12], cfg=NestaConfig(max_inner_iters=54))
-    large = [
-        ProblemSpec(n=128, N=512, L=8, k=20, rank=8, noise_sigma=1e-3, matrix_kind="gaussian", seed=s)
-        for s in range(3)
-    ]
+    gaussian = ProblemSpec(
+        n=128, N=512, L=8, k=20, rank=8, noise_sigma=1e-3, matrix_kind="gaussian"
+    )
+    large = [dataclasses.replace(gaussian, seed=s) for s in range(3)]
     large.append(ProblemSpec(n=256, N=1024, L=16, k=40, rank=16, noise_sigma=1e-3))
     out += [nesta_solve(problem) for problem in problems(large)]
     for problem in zero_data_problems():
         for solver in ("nesta", "smv", "iterative-nesta"):
             out += solve_problems(solver, [problem], 2)
         out += solve_problems("iterative-nesta", [problem], 2, use_music=True)
-    pool = problems(dataclasses.replace(large[0], seed=s) for s in range(8))
+    pool = problems(dataclasses.replace(gaussian, seed=s) for s in range(8))
     for adaptive in (False, True):
         out += [iht_solve(problem, IhtConfig(k=20, adaptive_step=adaptive)) for problem in pool]
     return out
