@@ -11,11 +11,12 @@ of that stability threshold, with ||phi||_2 exact for a certified operator
 (phi phi^T = c I) and a Lanczos estimate (``spectral_norm``) otherwise;
 the optional adaptive mode uses the normalized rule (exact step on the
 current support, halved until a support change passes the usual
-acceptance test, whose ratios are scaled by powers of two where their
-squares would overflow). Every step set by ||phi||_2 takes it from
-``_squared_norm``, which checks its range. A fixed-step iteration makes
-one dense product phi^T r, one ``hard_threshold_rows`` call and the
-residual on the k kept columns, B - phi[:, rows] alpha[rows].
+acceptance test, whose ratios are formed over phi and the move scaled
+by powers of two where their peaks leave a safe range). Every step set
+by ||phi||_2 takes it from ``_squared_norm``, which checks its range. A
+fixed-step iteration makes one dense product phi^T r, one
+``hard_threshold_rows`` call and the residual on the k kept columns,
+B - phi[:, rows] alpha[rows].
 
 A fixed-step iteration tries a certified least-squares finish (the
 debiasing step of Hard Thresholding Pursuit; Foucart, SIAM J. Numer. Anal.
@@ -83,6 +84,11 @@ _INVARIANT = 1e-12
 
 # A norm below this has a square below 2^1022, well inside the float range.
 _SQUARE_SAFE = 2.0**511
+
+# NIHT's ratios take an array as it is while its peak lies in
+# [2^-_EXP_FREE, 2^_EXP_FREE], where no square they form leaves the
+# normal floats, and scaled by a power of two into [1/2, 1) past that.
+_EXP_FREE = 128
 
 
 @dataclass(frozen=True)
@@ -183,46 +189,54 @@ def _threshold(X, k):
     return out, support, support.as_array()
 
 
-def _squares(phi, d):
-    """(a, b, e) with a / b * 2^e = ||d||_F^2 / ||phi d||_F^2.
+def _shift(X):
+    """The exponent p with X / 2^p as NIHT's ratios take it: 0 while X's
+    peak is within 2^+-_EXP_FREE, else the one that brings the peak into
+    [1/2, 1). Scaling in range would be exact but for ``x ** 2``, which
+    calls the C library's pow: it is not correctly rounded (about 1 in 1000
+    squares differs from x * x), so its last bit is not scale-free."""
+    e = math.frexp(float(np.abs(X).max()))[1]
+    return e if abs(e) > _EXP_FREE else 0
 
-    While both norms are below _SQUARE_SAFE, a and b are those squares and
-    e = 0: the plain arithmetic. Past it (NIHT on operators of scale ~1e57
-    and up), they are the squares for d / 2^q and phi / 2^p, with 2^q and
-    2^p the powers of two just above the largest entries, which divide
-    exactly, and e = -2p.
+
+def _ratio(phi_s, p, d, factor=1.0):
+    """factor ||d||_F^2 / ||phi d||_F^2 for phi = phi_s 2^p; inf where phi d = 0.
+
+    The squares are those of phi_s and d / 2^q, q = ``_shift(d)``, so no
+    square overflows or underflows at any scale of phi or d, and a power
+    of two divides exactly. A ratio above the float range raises
+    InvalidArgumentError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = float(np.linalg.norm(d)), float(np.linalg.norm(phi @ d))
-    e = 0
-    if not (norms[0] < _SQUARE_SAFE and norms[1] < _SQUARE_SAFE):
-        p = math.frexp(float(np.abs(phi).max()))[1]
-        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
-        norms = float(np.linalg.norm(d)), float(np.linalg.norm(np.ldexp(phi, -p) @ d))
-        e = -2 * p
-    return norms[0] ** 2, norms[1] ** 2, e
+    d = np.ldexp(d, -_shift(d))
+    num = float(np.linalg.norm(d)) ** 2
+    denom = float(np.linalg.norm(phi_s @ d)) ** 2
+    if denom == 0.0:
+        return math.inf
+    try:
+        return math.ldexp(factor * num / denom, -2 * p)
+    except OverflowError:
+        raise InvalidArgumentError(
+            "the normalized step is out of range: ||phi d||_F^2 / ||d||_F^2 underflows"
+        ) from None
 
 
-def _normalized_step(phi, alpha, grad, rows, k):
+def _normalized_step(phi_s, p, alpha, grad, rows, k):
     """Adaptive proposal: exact step on the current rows, backtracked.
 
     The step mu = ||g_S||^2 / ||phi g_S||^2 (1 where phi g_S = 0) is
     halved until the support stays or mu <= (1 - _ADAPTIVE_C) ||d||^2 /
-    ||phi d||^2 for the move d. Each ratio comes from :func:`_squares`,
-    exact to the last bit of the plain arithmetic where the squares are in
-    range and scaled by powers of two where they would overflow, so the
-    rule runs at every operator scale whose ||phi||_2^2 is finite.
+    ||phi d||^2 for the move d. Each ratio comes from :func:`_ratio` over
+    phi = phi_s 2^p, so neither ratio overflows or underflows on its way.
     """
     grad_on = np.zeros_like(grad)
     grad_on[rows] = grad[rows]
-    num, denom, e = _squares(phi, grad_on)
-    mu = math.ldexp(num / denom, e) if denom > 0 else 1.0
+    mu = _ratio(phi_s, p, grad_on)
+    mu = 1.0 if mu == math.inf else mu
     candidate, cand_support, cand_rows = _threshold(alpha + mu * grad, k)
     for _ in range(100):
         if np.array_equal(cand_rows, rows):
             break
-        num, denom, e = _squares(phi, candidate - alpha)
-        if denom == 0 or mu <= math.ldexp((1.0 - _ADAPTIVE_C) * num / denom, e):
+        if mu <= _ratio(phi_s, p, candidate - alpha, 1.0 - _ADAPTIVE_C):
             break
         mu *= 0.5
         candidate, cand_support, cand_rows = _threshold(alpha + mu * grad, k)
@@ -380,9 +394,15 @@ def iht_solve(problem, cfg):
     that overflows means a norm that overflows; one that underflows may
     reject a norm just above ~1.5e-154 whose square is in range. The
     adaptive rule's own steps are ratios that ``_normalized_step`` forms
-    at any scale, so after a MUSIC start it needs no ||phi||_2; it checks
-    ||phi||_2^2 before MUSIC only where sqrt(n N) max|phi_ij| reaches
-    _SQUARE_SAFE, and so raises the same error where that square overflows.
+    over phi / 2^p (p = ``_shift(phi)``, built once per solve); so after a
+    MUSIC start it needs no ||phi||_2. It checks ||phi||_2^2 before MUSIC
+    only where sqrt(n N) max|phi_ij| reaches _SQUARE_SAFE, and so raises
+    the same error where that square overflows.
+    The gradient phi^T r itself is of the order of ||phi||_2^2 times the
+    coefficients: where that falls below the normal floats (for unit
+    coefficients, ||phi||_2^2 below ~1e-308), a step that overflows raises InvalidArgumentError
+    ("the normalized step is out of range"), and a gradient that rounds
+    to 0 ends the solve at its start.
 
     The report's objective trace holds the data residual ||B - phi alpha||_F
     at the start, after each iteration and, when a try is accepted, at the
@@ -407,10 +427,13 @@ def iht_solve(problem, cfg):
     # the fixed rule checks ||phi||_2 here, before MUSIC, through the bound
     # of the start try; its fixed step waits for the first iteration
     try_step = None if cfg.adaptive_step else 0.98 / _squared_norm(problem, _BOUND_STEPS)
-    if cfg.adaptive_step and float(np.abs(phi).max()) * math.sqrt(phi.size) >= _SQUARE_SAFE:
-        # NIHT's ratios hold wherever ||phi||_2^2 is finite; check it where
-        # the bound ||phi||_F <= sqrt(n N) max|phi_ij| does not show that
-        _squared_norm(problem)
+    if cfg.adaptive_step:
+        if float(np.abs(phi).max()) * math.sqrt(phi.size) >= _SQUARE_SAFE:
+            # where ||phi||_2^2 overflows, so does phi^T r: check the square
+            # where ||phi||_F <= sqrt(n N) max|phi_ij| does not show it in range
+            _squared_norm(problem)
+        p = _shift(phi)  # NIHT's ratios are formed over phi / 2^p
+        phi_s = np.ldexp(phi, -p)
     step = None
 
     music = music_support(problem, cfg.k)
@@ -452,7 +475,7 @@ def iht_solve(problem, cfg):
         iterations += 1
         grad = phi.T @ resid
         if cfg.adaptive_step:
-            new_alpha, support, rows = _normalized_step(phi, alpha, grad, rows, cfg.k)
+            new_alpha, support, rows = _normalized_step(phi_s, p, alpha, grad, rows, cfg.k)
         else:
             if step is None:
                 step = 0.98 / _squared_norm(problem)

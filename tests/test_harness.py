@@ -18,7 +18,6 @@ from mmvsolve import (
     SupportSet,
     SweepConfig,
     gen_instance,
-    hard_threshold_rows,
     nesta_solve,
     parse_sweep_config,
     run_sweep,
@@ -172,11 +171,20 @@ def test_zero_data_reports_pin_every_field_and_type(solver, use_music, data):
     assert type(report.final_residual) is float
     assert report.final_residual == np.linalg.norm(problem.B)
     assert report.converged is True
-    if solver == "iterative-nesta":
-        # its support is the k rows it thresholds the estimate to
-        assert report.detected_support == hard_threshold_rows(report.estimate, 2)[1]
-    else:
+    if solver != "iterative-nesta":  # its support: the test below
         assert report.detected_support == SupportSet() and report.outer_iterations == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="iterative_nesta thresholds x = 0 to rows 0..k-1 (a FOUND line in CHANGES.md)",
+)
+@pytest.mark.parametrize("use_music", [False, True])
+@pytest.mark.parametrize("data", ["zero", "off-range"])
+def test_iterative_nesta_detects_no_rows_on_zero_data(data, use_music):
+    problem = zero_correlation_problem(data)
+    (report,) = solve_problems("iterative-nesta", [problem], 2, use_music=use_music)
+    assert report.detected_support == SupportSet()
 
 
 def test_smv_zero_column_adds_no_stage_and_no_trace():

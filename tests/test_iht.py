@@ -496,7 +496,7 @@ def test_adaptive_start_rejects_an_operator_whose_squared_norm_is_out_of_range(s
 
 @pytest.mark.parametrize("scale", [1e-100, 1e60, 1e100, 1e150])
 def test_adaptive_step_solves_at_extreme_operator_scales(scale):
-    # the step's squares ||phi g||^2 overflow from a scale of ~1e57
+    # unshifted, the squares ||phi g||^2 overflow from a scale of ~1e57
     cfg = IhtConfig(k=2, adaptive_step=True)
     base = iht_solve(scaled_problem(1.0), cfg)
     with warnings.catch_warnings():
@@ -506,19 +506,53 @@ def test_adaptive_step_solves_at_extreme_operator_scales(scale):
     assert np.abs(report.estimate - base.estimate).max() <= 1e-8 * np.abs(base.estimate).max()
 
 
-def test_adaptive_step_at_a_power_of_two_scale_is_the_unscaled_one_bit_for_bit():
-    # past the square's range the ratios are formed over power-of-two
-    # scalings, which are exact, as is the problem's scaling by 2^400
-    problem = gen_instance(
+def noisy_rank_deficient_problem():
+    # k = 6 rows at signal rank 3: the MUSIC start misses row 7, so NIHT
+    # moves off it for ~36 iterations
+    return gen_instance(
         ProblemSpec(n=24, N=64, L=3, k=6, rank=3, noise_sigma=1e-3, matrix_kind="gaussian", seed=0)
     ).problem
+
+
+def scaled_copy(problem, c):
+    return MmvProblem(A=MeasurementMatrix(c * problem.phi), B=c * problem.B)
+
+
+def test_adaptive_step_is_exact_under_power_of_two_scalings_past_its_safe_range():
+    # at 2^400 and 2^-400 the ratios shift phi and every move to the same
+    # arrays, so the two solves agree bit for bit; at 2^-400 the unshifted
+    # squares ||phi g||^2 would underflow to 0
+    problem = noisy_rank_deficient_problem()
     cfg = IhtConfig(k=6, adaptive_step=True)
     base = iht_solve(problem, cfg)
-    c = 2.0**400
-    scaled = iht_solve(MmvProblem(A=MeasurementMatrix(c * problem.phi), B=c * problem.B), cfg)
-    assert scaled.inner_iterations == base.inner_iterations > 10
-    assert np.array_equal(scaled.estimate, base.estimate)
-    assert scaled.detected_support == base.detected_support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up, down = (iht_solve(scaled_copy(problem, c), cfg) for c in (2.0**400, 2.0**-400))
+    assert up.inner_iterations == down.inner_iterations == base.inner_iterations > 10
+    assert np.array_equal(up.estimate, down.estimate)
+    assert up.detected_support == down.detected_support == base.detected_support
+    assert np.abs(up.estimate - base.estimate).max() <= 1e-12 * np.abs(base.estimate).max()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-60])
+def test_adaptive_step_leaves_a_wrong_music_start_at_small_operator_scales(scale):
+    # unshifted, ||phi g||^2 underflows to 0 here and the step falls back to 1
+    problem = noisy_rank_deficient_problem()
+    cfg = IhtConfig(k=6, adaptive_step=True)
+    base = iht_solve(problem, cfg)
+    assert music_support(problem, 6).support != base.detected_support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = iht_solve(scaled_copy(problem, scale), cfg)
+    assert report.detected_support == base.detected_support
+    assert np.abs(report.estimate - base.estimate).max() <= 1e-8 * np.abs(base.estimate).max()
+
+
+def test_adaptive_step_that_overflows_is_out_of_range():
+    # at 1e-160 ||phi||_2^2 is subnormal, and the step, ~1 / ||phi||_2^2, overflows
+    problem = scaled_copy(noisy_rank_deficient_problem(), 1e-160)
+    with pytest.raises(InvalidArgumentError, match="normalized step is out of range"):
+        iht_solve(problem, IhtConfig(k=6, adaptive_step=True))
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
